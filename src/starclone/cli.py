@@ -486,7 +486,10 @@ def cmd_table1(values: dict, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_verify(values: dict, parser: argparse.ArgumentParser, suite: str) -> int:
-    result = run_suite(suite, seed=values["seed"], trials=values["trials"])
+    try:
+        result = run_suite(suite, seed=values["seed"], trials=values["trials"])
+    except ValueError as exc:
+        parser.error(str(exc))
     if values["format"] == "json":
         payload = {
             "command": "verify",

@@ -6,7 +6,9 @@ two interference terms Re(f1* g1) and Re(f2* g2).  The closed-form
 specialization is expressed through the two block gaps
 
     eta1 = sqrt(4 (M-k)(k+1) + (M-2k-1)^2 lam^2)
-    eta2 = sqrt(4 k (M-k+1) + (M-2k+1)^2 lam^2).
+    eta2 = sqrt(4 k (M-k+1) + (M-2k+1)^2 lam^2),
+
+which enter only as sin(eta t/2)/eta, regular at eta = 0.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .dynamics import (
     BlockAmplitudes,
+    _sinc,
     amplitudes_from_brute_force,
     evolve_analytic,
     evolve_brute_force,
@@ -27,7 +30,6 @@ from .hilbert import QubitDensityMatrix, fidelity_pure, prepare_initial, reduce_
 from .star_model import DEFAULT_MAX_QUBITS, ModelParams
 
 __all__ = [
-    "ETA_GUARD",
     "CloneReport",
     "PresetSpec",
     "reduced_outer",
@@ -47,10 +49,6 @@ __all__ = [
     "bloch_amplitudes",
     "make_clone_report",
 ]
-
-# Below this, a block gap is treated as degenerate and the closed form
-# delegates to block propagation (both chi and eta vanish together there).
-ETA_GUARD = 1e-12
 
 _METHODS = ("analytic", "closed-form", "brute")
 
@@ -135,30 +133,24 @@ def fidelity_closed_form(M: int, k: int, lam: float, B: float, t):
       chi2 = eta2 cos(eta2 t/2) sin(B t) sin(eta1 t/2)
              - lam (M-2k+1) sin(eta2 t/2) cos(B t) sin(eta1 t/2).
 
-    Accepts a scalar or array t.  When a gap degenerates (eta below
-    ETA_GUARD, which requires lam = 0 with k = 0 or k = M) the 0/0 form is
-    avoided by delegating to block propagation.
+    Each eta is divided out through sin(eta t/2)/eta = (t/2) sinc(eta t/2),
+    whose exact limit t/2 covers the degenerate gaps (eta = 0 needs lam = 0
+    with k = 0 or k = M).  Accepts a scalar or array t.
     """
     if not 0 <= k <= M:
         raise ValueError(f"k must lie in [0, {M}], got {k}")
     eta1 = math.sqrt(4.0 * (M - k) * (k + 1) + (M - 2 * k - 1) ** 2 * lam * lam)
     eta2 = math.sqrt(4.0 * k * (M - k + 1) + (M - 2 * k + 1) ** 2 * lam * lam)
-    if eta1 < ETA_GUARD or eta2 < ETA_GUARD:
-        params = ModelParams(M, lam, B)
-        if np.ndim(t) == 0:
-            return pcc_fidelity(evolve_analytic(params, k, float(t)))
-        return np.array(
-            [pcc_fidelity(evolve_analytic(params, k, float(ti))) for ti in t]
-        )
     t = np.asarray(t, dtype=np.float64) if np.ndim(t) else float(t)
-    s1, c1 = np.sin(eta1 * t / 2.0), np.cos(eta1 * t / 2.0)
-    s2, c2 = np.sin(eta2 * t / 2.0), np.cos(eta2 * t / 2.0)
+    if not (math.isfinite(lam) and (np.isfinite(B) & (0 <= t) & (t < math.inf)).all()):
+        raise ValueError("lam and B must be finite, t finite and >= 0")
+    half1, half2 = eta1 * t / 2.0, eta2 * t / 2.0
+    c1, c2 = np.cos(half1), np.cos(half2)
+    s1, s2 = 0.5 * t * _sinc(half1), 0.5 * t * _sinc(half2)  # sin(eta t/2) / eta
     sb, cb = np.sin(B * t), np.cos(B * t)
-    chi1 = eta1 * c1 * sb * s2 - lam * (M - 2 * k - 1) * s1 * cb * s2
-    chi2 = eta2 * c2 * sb * s1 - lam * (M - 2 * k + 1) * s2 * cb * s1
-    return 0.5 + (k * (M - k + 1) * chi1 - (M - k) * (k + 1) * chi2) / (
-        M * eta1 * eta2
-    )
+    u1 = c1 * sb * s2 - lam * (M - 2 * k - 1) * s1 * cb * s2  # chi1 / (eta1 eta2)
+    u2 = c2 * sb * s1 - lam * (M - 2 * k + 1) * s2 * cb * s1  # chi2 / (eta1 eta2)
+    return 0.5 + (k * (M - k + 1) * u1 - (M - k) * (k + 1) * u2) / M
 
 
 def state_bound(M: int, k: int) -> float:

@@ -1,15 +1,18 @@
 """Free time evolution by two independent routes.
 
 The analytic route propagates the two invariant 2x2 blocks that carry the
-cloning initial state and returns the four transition amplitudes
-(f1, f2, g1, g2).  The oracle route exponentiates the full Hamiltonian by
-dense eigendecomposition.  Both use the common phase convention
-exp(-i H t): no global phase is stripped, because the relative phase
-between the two blocks enters the cloning fidelity.
+cloning initial state through one exact closed-form propagator (the
+identity at t = 0, a pure phase at the ladder ends) and returns the four
+transition amplitudes (f1, f2, g1, g2).  The oracle route exponentiates the
+full Hamiltonian by dense eigendecomposition.  Both use the common phase
+convention exp(-i H t): no global phase is stripped, because the relative
+phase between the two blocks enters the cloning fidelity.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,10 +23,8 @@ from .hilbert import StateVector, prepare_initial
 from .star_model import (
     DEFAULT_MAX_QUBITS,
     ModelParams,
-    block_eigensystem,
+    _block_elements,
     build_full_hamiltonian,
-    edge_eigenstate,
-    sector_block,
 )
 
 __all__ = [
@@ -62,41 +63,41 @@ class BlockAmplitudes:
         return max(abs(f_norm - 1.0), abs(g_norm - 1.0))
 
 
+def _sinc(x):
+    """sin(x)/x, exactly 1 at x = 0; unlike np.sinc, unscaled and cheap on scalars."""
+    x = x + (x == 0.0) * 1e-300  # like np.sinc: sin(y)/y = 1 exactly for tiny y
+    return np.sin(x) / x
+
+
 def _block_propagator(params: ModelParams, m: float, t: float) -> np.ndarray:
-    """exp(-i H t) restricted to the 2x2 sector labelled by m."""
-    eig = block_eigensystem(sector_block(params, m), params.lam, params.B)
-    proj_plus = np.outer(eig.vec_plus, eig.vec_plus)
-    proj_minus = np.outer(eig.vec_minus, eig.vec_minus)
-    return np.exp(-1j * eig.e_plus * t) * proj_plus + (
-        np.exp(-1j * eig.e_minus * t) * proj_minus
-    )
+    """exp(-i H t) on the 2x2 sector labelled by m, exact for every t >= 0.
+
+    With h = c + d sz + eps sx, eta = 2 sqrt(d^2 + eps^2) and sinc(x) = sin(x)/x,
+    exp(-i h t) = e^{-i c t} [cos(eta t/2) - i t sinc(eta t/2) (d sz + eps sx)].
+    One step past a ladder end eps = 0: the surviving ket keeps its edge phase.
+    """
+    h00, eps, h11 = _block_elements(params, m)
+    c, d = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+    half_eta_t = math.hypot(d, eps) * t
+    phase = cmath.exp(-1j * c * t)
+    cos = phase * math.cos(half_eta_t)
+    sin = -1j * phase * t * _sinc(half_eta_t)
+    return np.array([[cos + sin * d, sin * eps], [sin * eps, cos - sin * d]])
 
 
 def evolve_analytic(params: ModelParams, k: int, t: float) -> BlockAmplitudes:
     """Block-propagated amplitudes for the initial state (.)|S(M, k)>.
 
-    k = M and k = 0 route through the stationary edge states, where the
-    respective partner amplitude vanishes identically.
+    alpha evolves in block m = k + 1 - M/2 and beta in m = k - M/2; at k = M
+    (k = 0) that block is one step past the ladder end, and f2 (g1) is 0.
     """
     if not 0 <= k <= params.M:
         raise ValueError(f"k must lie in [0, {params.M}], got {k}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    if t == 0.0:
-        return BlockAmplitudes(params, k, 0.0, 1 + 0j, 0j, 0j, 1 + 0j)
-    half_m = params.M / 2.0
-    if k == params.M:
-        f1 = complex(np.exp(-1j * edge_eigenstate(params, "top").energy * t))
-        f2 = 0j
-    else:
-        prop = _block_propagator(params, k + 1 - half_m, t)
-        f1, f2 = complex(prop[0, 0]), complex(prop[1, 0])
-    if k == 0:
-        g1 = 0j
-        g2 = complex(np.exp(-1j * edge_eigenstate(params, "bottom").energy * t))
-    else:
-        prop = _block_propagator(params, k - half_m, t)
-        g1, g2 = complex(prop[0, 1]), complex(prop[1, 1])
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    m = k - params.j_outer
+    f1, f2 = _block_propagator(params, m + 1.0, t)[:, 0].tolist()
+    g1, g2 = _block_propagator(params, m, t)[:, 1].tolist()
     return BlockAmplitudes(params, k, float(t), f1, f2, g1, g2)
 
 

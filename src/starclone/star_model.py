@@ -180,10 +180,19 @@ def sector_block(params: ModelParams, m: float) -> SectorBlock:
         raise ValueError(
             f"m = {m!r} outside the two-dimensional range [{-j + 1.0}, {j}]"
         )
-    eps = math.sqrt((j + m) * (j - m + 1.0))
+    return SectorBlock(j, m, *_block_elements(params, m))
+
+
+def _block_elements(params: ModelParams, m: float) -> tuple[float, float, float]:
+    """(h00, h01, h11) of block m; one step past a ladder end h01 = 0.
+
+    There (m = j + 1 or -j) the surviving ket's diagonal entry is its edge energy.
+    """
+    j = params.j_outer
+    h01 = math.sqrt((j + m) * (j - m + 1.0))
     h00 = params.lam * (m - 1.0) + params.B * (m - 0.5)
     h11 = -params.lam * m + params.B * (m - 0.5)
-    return SectorBlock(j=j, m=m, h00=h00, h01=eps, h11=h11)
+    return h00, h01, h11
 
 
 def block_eigensystem(block: SectorBlock, lam: float, B: float) -> BlockEigensystem:

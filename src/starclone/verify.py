@@ -39,7 +39,7 @@ class Check:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return bool(self.residual <= self.tolerance)  # False for a NaN residual
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,11 @@ class SuiteResult:
         return tuple(check for check in self.checks if not check.passed)
 
 
+def _worst(residuals) -> float:
+    """Largest residual, at least 0; unlike max(), a NaN anywhere propagates."""
+    return float(np.max(np.fromiter(residuals, dtype=np.float64), initial=0.0))
+
+
 def _oracle_samples(rng: np.random.Generator, trials: int):
     for _ in range(trials):
         M = int(rng.integers(1, 7))
@@ -70,38 +75,31 @@ def suite_oracle(seed: int = 0, trials: int | None = None) -> SuiteResult:
     """Analytic block propagation against dense-evolution projections."""
     trials = 500 if trials is None else trials
     rng = np.random.default_rng(seed)
-    worst_amp = 0.0
-    worst_closed_analytic = 0.0
-    worst_closed_dense = 0.0
+    amp_errors, closed_analytic, closed_dense = [], [], []
     for M, k, lam, B, t in _oracle_samples(rng, trials):
         params = ModelParams(M, lam, B)
         analytic = evolve_analytic(params, k, t)
         dense = amplitudes_from_brute_force(params, k, t)
-        worst_amp = max(
-            worst_amp,
+        amp_errors += (
             abs(analytic.f1 - dense.f1),
             abs(analytic.f2 - dense.f2),
             abs(analytic.g1 - dense.g1),
             abs(analytic.g2 - dense.g2),
         )
         closed = float(fidelity_closed_form(M, k, lam, B, t))
-        worst_closed_analytic = max(
-            worst_closed_analytic, abs(closed - pcc_fidelity(analytic))
-        )
-        worst_closed_dense = max(
-            worst_closed_dense, abs(closed - pcc_fidelity(dense))
-        )
+        closed_analytic.append(abs(closed - pcc_fidelity(analytic)))
+        closed_dense.append(abs(closed - pcc_fidelity(dense)))
     return SuiteResult(
         "oracle",
         seed,
         (
             Check(
                 f"block amplitudes vs dense projections ({trials} trials)",
-                worst_amp,
+                _worst(amp_errors),
                 1e-10,
             ),
-            Check("closed form vs block propagation", worst_closed_analytic, 1e-9),
-            Check("closed form vs dense projections", worst_closed_dense, 1e-9),
+            Check("closed form vs block propagation", _worst(closed_analytic), 1e-9),
+            Check("closed form vs dense projections", _worst(closed_dense), 1e-9),
         ),
     )
 
@@ -136,7 +134,7 @@ def suite_universal(seed: int = 0, trials: int | None = None) -> SuiteResult:
     rng = np.random.default_rng(seed)
     preset = universal_preset()
     params = preset.params()
-    worst_matrix = 0.0
+    matrix_errors = []
     fidelities = np.empty(trials)
     for i in range(trials):
         theta = math.acos(float(rng.uniform(-1.0, 1.0)))
@@ -147,9 +145,7 @@ def suite_universal(seed: int = 0, trials: int | None = None) -> SuiteResult:
         )
         rho = reduce_qubit(psi, 1)
         reference = universal_clone_matrix(alpha, beta)
-        worst_matrix = max(
-            worst_matrix, float(np.abs(rho.matrix - reference.matrix).max())
-        )
+        matrix_errors.append(np.abs(rho.matrix - reference.matrix).max())
         fidelities[i] = fidelity_pure(rho, alpha, beta)
     return SuiteResult(
         "universal",
@@ -157,7 +153,7 @@ def suite_universal(seed: int = 0, trials: int | None = None) -> SuiteResult:
         (
             Check(
                 f"clone matrix vs closed form ({trials} random inputs)",
-                worst_matrix,
+                _worst(matrix_errors),
                 1e-10,
             ),
             Check(
@@ -182,11 +178,11 @@ def suite_ancilla_free(seed: int = 0, trials: int | None = None) -> SuiteResult:
             preset.t,
         )
         matrices = [reduce_qubit(psi, q).matrix for q in range(m_outer + 1)]
-        spread = max(float(np.abs(m - matrices[0]).max()) for m in matrices)
+        spread = _worst(np.abs(m - matrices[0]).max() for m in matrices)
         checks.append(
             Check(f"M_outer={m_outer} reduced-matrix spread", spread, 1e-10)
         )
-        worst_f = max(
+        worst_f = _worst(
             abs(fidelity_pure(reduce_qubit(psi, q), alpha, beta) - preset.fidelity)
             for q in range(m_outer + 1)
         )
@@ -204,18 +200,18 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
     """Interference bound plus the two fixed-coupling maxima."""
     trials = 500 if trials is None else trials
     rng = np.random.default_rng(seed)
-    worst_violation = 0.0
-    for M, k, lam, B, t in _oracle_samples(rng, trials):
-        f = pcc_fidelity(evolve_analytic(ModelParams(M, lam, B), k, t))
-        worst_violation = max(worst_violation, f - state_bound(M, k))
+    violations = [
+        pcc_fidelity(evolve_analytic(ModelParams(M, lam, B), k, t)) - state_bound(M, k)
+        for M, k, lam, B, t in _oracle_samples(rng, trials)
+    ]
     checks = [
         Check(
             f"interference bound violation ({trials} samples)",
-            max(0.0, worst_violation),
+            _worst(violations),
             1e-10,
         )
     ]
-    wide_violation = 0.0
+    wide_violations = []
     for _ in range(trials):
         M = int(rng.integers(1, 9))
         k = int(rng.integers(0, M + 1))
@@ -223,15 +219,15 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
         B = float(rng.uniform(-5.0, 5.0))
         t = float(rng.uniform(0.0, 100.0))
         f = pcc_fidelity(evolve_analytic(ModelParams(M, lam, B), k, t))
-        wide_violation = max(wide_violation, f - state_bound(M, k))
+        wide_violations.append(f - state_bound(M, k))
     checks.append(
         Check(
             f"interference bound violation, wide box ({trials} samples)",
-            max(0.0, wide_violation),
+            _worst(wide_violations),
             1e-10,
         )
     )
-    worst_heis = 0.0
+    heis_errors = []
     for M in range(1, 9):
         params = ModelParams(M, 1.0, 0.0)
         t = math.pi / (M + 1)
@@ -239,11 +235,15 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
         for k in range(M + 1):
             psi = evolve_brute_force(params, prepare_initial(alpha, beta, M, k), t)
             dense = fidelity_pure(reduce_qubit(psi, 1), alpha, beta)
-            worst_heis = max(worst_heis, abs(dense - heisenberg_max_fidelity(M, k)))
+            heis_errors.append(abs(dense - heisenberg_max_fidelity(M, k)))
     checks.append(
-        Check("isotropic-coupling maximum vs dense evolution (M <= 8)", worst_heis, 1e-9)
+        Check(
+            "isotropic-coupling maximum vs dense evolution (M <= 8)",
+            _worst(heis_errors),
+            1e-9,
+        )
     )
-    worst_km = max(
+    worst_km = _worst(
         abs(
             float(kM_fidelity(M, 0.0, math.sqrt(M), math.pi / (2.0 * math.sqrt(M))))
             - (0.5 + 0.5 / math.sqrt(M))
@@ -268,7 +268,9 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResult:
-    """Run one named suite; unknown names raise ValueError."""
+    """Run one named suite; unknown names and trials < 1 raise ValueError."""
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     try:
         runner = _SUITES[name]
     except KeyError:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from starclone import cli
-from starclone.verify import Check, SuiteResult
+from starclone.verify import SUITE_NAMES, Check, SuiteResult
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +78,11 @@ class TestFidelityCommand:
     def test_bad_k_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["fidelity", "--m", "2", "--k", "7", "--t", "1.0"])
+        assert err.value.code == 2
+
+    def test_nan_time_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fidelity", "--m", "2", "--k", "1", "--t", "nan"])
         assert err.value.code == 2
 
 
@@ -224,6 +229,19 @@ class TestVerifyCommand:
             cli.main(["verify", "everything"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_json_output_for_every_suite(self, capsys, suite):
+        code, payload = run_json(capsys, "verify", suite, "--trials", "3")
+        assert code == 0
+        assert payload["passed"] is True
+        assert all(check["passed"] is True for check in payload["checks"])
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, trials):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "oracle", "--trials", trials])
+        assert err.value.code == 2
+
 
 class TestScanCommand:
     def test_header_and_peak_location(self, capsys):
@@ -317,6 +335,13 @@ class TestScanCommand:
         with pytest.raises(SystemExit) as err:
             cli.main(["scan", "--m", "2", "--k", "0", "--model", "xx",
                       "--sweep", "lambda=0:1:3"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("method", ["analytic", "closed-form"])
+    def test_negative_time_is_usage_error(self, method):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["scan", "--m", "2", "--k", "1", "--lambda", "1",
+                      "--method", method, "--sweep", "t=-1:1:3"])
         assert err.value.code == 2
 
 

@@ -165,6 +165,32 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             fidelity_closed_form(3, 5, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "lam, B, t",
+        [
+            (0.5, 0.3, -1.0),
+            (0.5, 0.3, math.nan),
+            (0.5, 0.3, math.inf),
+            (0.5, 0.3, np.array([0.0, 1.0, -1.0])),
+            (0.5, 0.3, np.array([0.0, np.nan])),
+            (math.nan, 0.3, 1.0),
+            (-math.inf, 0.3, 1.0),
+            (0.5, math.nan, 1.0),
+            (0.5, np.array([0.1, np.inf]), 1.0),
+        ],
+    )
+    def test_non_finite_or_negative_inputs_rejected(self, lam, B, t):
+        with pytest.raises(ValueError):
+            fidelity_closed_form(3, 1, lam, B, t)
+
+    def test_degenerate_gap_is_exact_limit(self):
+        # lam = 0, k = M: eta1 = 0, and sin(eta1 t/2)/eta1 -> t/2 turns the
+        # closed form into the polarized-register formula
+        times = np.linspace(0.0, 40.0, 401)
+        for m in (1, 3, 6):
+            closed = fidelity_closed_form(m, m, 0.0, 0.7, times)
+            assert np.abs(closed - kM_fidelity(m, 0.0, 0.7, times)).max() < 1e-13
+
 
 class TestBounds:
     def test_state_bound_values(self):

@@ -70,6 +70,11 @@ class TestEvolveAnalytic:
         with pytest.raises(ValueError):
             evolve_analytic(params, 1, -0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError):
+            evolve_analytic(ModelParams(3, 0.5, 0.5), 1, t)
+
 
 class TestEvolveBruteForce:
     def test_identity_at_t0(self):

@@ -1,0 +1,43 @@
+"""Verification suites: a NaN residual or an empty sample must never PASS."""
+
+import math
+
+import numpy as np
+import pytest
+
+from starclone import verify
+from starclone.verify import Check, run_suite
+
+
+class TestCheck:
+    def test_passed_is_a_python_bool(self):
+        assert Check("numpy residual", np.float64(1e-12), 1e-10).passed is True
+        assert Check("numpy residual", np.float64(1.0), 1e-10).passed is False
+        assert Check("nan residual", np.float64(math.nan), 1e-10).passed is False
+
+
+class TestNanRoutes:
+    @pytest.mark.parametrize("suite", ["oracle", "bounds"])
+    def test_nan_fidelity_fails_the_suite(self, monkeypatch, suite):
+        monkeypatch.setattr(verify, "pcc_fidelity", lambda amp: math.nan)
+        result = run_suite(suite, seed=0, trials=3)
+        assert not result.passed
+        assert any(math.isnan(check.residual) for check in result.failures())
+
+    def test_nan_amplitudes_fail_the_oracle(self, monkeypatch):
+        real = verify.evolve_analytic
+
+        def nan_f1(params, k, t):
+            amp = real(params, k, t)
+            return type(amp)(params, k, t, complex(math.nan), amp.f2, amp.g1, amp.g2)
+
+        monkeypatch.setattr(verify, "evolve_analytic", nan_f1)
+        result = run_suite("oracle", seed=0, trials=3)
+        assert not result.passed
+
+
+class TestTrials:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(ValueError):
+            run_suite("oracle", trials=trials)
