@@ -298,11 +298,6 @@ def _fmt(value: float) -> str:
 
 def cmd_fidelity(values: dict, parser: argparse.ArgumentParser) -> int:
     lam = _resolve_lambda(values, parser)
-    if values["method"] == "brute" and values["m"] + 1 > values["max_qubits"]:
-        parser.error(
-            f"method 'brute' needs 2**{values['m'] + 1} dense states, beyond the "
-            f"cap of 2**{values['max_qubits']}"
-        )
     try:
         params = ModelParams(values["m"], lam, values["b"])
         report = make_clone_report(
@@ -551,11 +546,6 @@ def cmd_scan(values: dict, parser: argparse.ArgumentParser) -> int:
         "xx", "heisenberg",
     ):
         parser.error("cannot sweep lambda while the model shorthand fixes it")
-    if values["method"] == "brute" and values["m"] + 1 > values["max_qubits"]:
-        parser.error(
-            f"method 'brute' needs 2**{values['m'] + 1} dense states, beyond the "
-            f"cap of 2**{values['max_qubits']}"
-        )
     m, k, method = values["m"], values["k"], values["method"]
 
     def fidelity_at(lam_: float, b: float, t: float) -> float:

@@ -139,8 +139,9 @@ def fidelity_closed_form(M: int, k: int, lam: float, B: float, t):
     """
     if not 0 <= k <= M:
         raise ValueError(f"k must lie in [0, {M}], got {k}")
-    eta1 = math.sqrt(4.0 * (M - k) * (k + 1) + (M - 2 * k - 1) ** 2 * lam * lam)
-    eta2 = math.sqrt(4.0 * k * (M - k + 1) + (M - 2 * k + 1) ** 2 * lam * lam)
+    # hypot, not sqrt of a sum: lam^2 would overflow for |lam| > 1e154
+    eta1 = math.hypot(2.0 * math.sqrt((M - k) * (k + 1)), (M - 2 * k - 1) * lam)
+    eta2 = math.hypot(2.0 * math.sqrt(k * (M - k + 1)), (M - 2 * k + 1) * lam)
     t = np.asarray(t, dtype=np.float64) if np.ndim(t) else float(t)
     if not (math.isfinite(lam) and (np.isfinite(B) & (0 <= t) & (t < math.inf)).all()):
         raise ValueError("lam and B must be finite, t finite and >= 0")
@@ -375,13 +376,17 @@ def make_clone_report(
 
     method 'analytic' uses block propagation, 'closed-form' additionally
     sources the equatorial fidelity from the closed form (equatorial inputs
-    only), 'brute' evolves the full register and partial-traces every qubit.
-    Index 0 of per_qubit_fidelities is the central spin.
+    only), 'brute' evolves the full register and partial-traces every qubit;
+    its capacity check (in amplitudes_from_brute_force) runs before any
+    2**(M+1) state is allocated.  Index 0 of per_qubit_fidelities is the
+    central spin.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     alpha, beta = bloch_amplitudes(theta, phi)
     if method == "brute":
+        amp = amplitudes_from_brute_force(params, k, t, max_qubits)
+        equatorial = pcc_fidelity(amp)
         psi = evolve_brute_force(
             params, prepare_initial(alpha, beta, params.M, k), t, max_qubits
         )
@@ -389,8 +394,6 @@ def make_clone_report(
             fidelity_pure(reduce_qubit(psi, q), alpha, beta)
             for q in range(params.n_qubits)
         )
-        amp = amplitudes_from_brute_force(params, k, t, max_qubits)
-        equatorial = pcc_fidelity(amp)
         outer_fidelity = per_qubit[1]
     else:
         amp = evolve_analytic(params, k, t)

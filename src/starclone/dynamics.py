@@ -3,10 +3,13 @@
 The analytic route propagates the two invariant 2x2 blocks that carry the
 cloning initial state through one exact closed-form propagator (the
 identity at t = 0, a pure phase at the ladder ends) and returns the four
-transition amplitudes (f1, f2, g1, g2).  The oracle route exponentiates the
-full Hamiltonian by dense eigendecomposition.  Both use the common phase
-convention exp(-i H t): no global phase is stripped, because the relative
-phase between the two blocks enters the cloning fidelity.
+transition amplitudes (f1, f2, g1, g2).  The oracle route uses only the
+computational basis and magnetization conservation: it eigendecomposes the
+dense Hamiltonian one magnetization sector (fixed popcount) at a time,
+evolves each sector that holds weight in the state and scatters the results
+back into the 2**(M+1) amplitudes.  Both use the common phase convention
+exp(-i H t): no global phase is stripped, because the relative phase
+between the two blocks enters the cloning fidelity.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .star_model import (
     DEFAULT_MAX_QUBITS,
     ModelParams,
     _block_elements,
+    _require_capacity,
     build_full_hamiltonian,
 )
 
@@ -63,6 +67,12 @@ class BlockAmplitudes:
         return max(abs(f_norm - 1.0), abs(g_norm - 1.0))
 
 
+def _require_time(t: float) -> None:
+    """Reject a NaN, infinite or negative time on both evolution routes."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+
+
 def _sinc(x):
     """sin(x)/x, exactly 1 at x = 0; unlike np.sinc, unscaled and cheap on scalars."""
     x = x + (x == 0.0) * 1e-300  # like np.sinc: sin(y)/y = 1 exactly for tiny y
@@ -93,8 +103,7 @@ def evolve_analytic(params: ModelParams, k: int, t: float) -> BlockAmplitudes:
     """
     if not 0 <= k <= params.M:
         raise ValueError(f"k must lie in [0, {params.M}], got {k}")
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    _require_time(t)
     m = k - params.j_outer
     f1, f2 = _block_propagator(params, m + 1.0, t)[:, 0].tolist()
     g1, g2 = _block_propagator(params, m, t)[:, 1].tolist()
@@ -103,14 +112,14 @@ def evolve_analytic(params: ModelParams, k: int, t: float) -> BlockAmplitudes:
 
 @lru_cache(maxsize=128)
 def _dense_eigensystem(
-    params: ModelParams, max_qubits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cached full eigendecomposition; reused across evolution times."""
-    ham = build_full_hamiltonian(params, max_qubits=max_qubits)
+    params: ModelParams, sector: int, max_qubits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached (basis indices, eigenvalues, eigenvectors) of one sector block."""
+    ham = build_full_hamiltonian(params, max_qubits, sector)
     evals, evecs = np.linalg.eigh(ham.matrix)
     evals.setflags(write=False)
     evecs.setflags(write=False)
-    return evals, evecs
+    return ham.basis, evals, evecs
 
 
 def evolve_brute_force(
@@ -119,15 +128,24 @@ def evolve_brute_force(
     t: float,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> StateVector:
-    """psi(t) = exp(-i H t) psi0 through the dense eigendecomposition."""
+    """psi(t) = exp(-i H t) psi0, eigendecomposing one sector at a time.
+
+    Only the magnetization sectors that hold weight in psi0 are evolved;
+    the others stay exactly zero.
+    """
     if psi0.n_qubits != params.n_qubits:
         raise ValueError(
             f"state has {psi0.n_qubits} qubits but the model needs "
             f"{params.n_qubits}"
         )
-    evals, evecs = _dense_eigensystem(params, max_qubits)
-    phases = np.exp(-1j * evals * t)
-    amplitudes = evecs @ (phases * (evecs.conj().T @ psi0.amplitudes))
+    _require_time(t)
+    psi = psi0.amplitudes
+    popcount = np.bitwise_count(np.arange(psi.size))
+    amplitudes = np.zeros_like(psi)
+    for sector in np.unique(popcount[psi != 0]).tolist():
+        basis, evals, evecs = _dense_eigensystem(params, sector, max_qubits)
+        phases = np.exp(-1j * evals * t)
+        amplitudes[basis] = evecs @ (phases * (evecs.conj().T @ psi[basis]))
     return StateVector(psi0.n_qubits, amplitudes)
 
 
@@ -146,6 +164,7 @@ def amplitudes_from_brute_force(
     """
     if not 0 <= k <= params.M:
         raise ValueError(f"k must lie in [0, {params.M}], got {k}")
+    _require_capacity(params.n_qubits, max_qubits)
     M = params.M
 
     psi_f = evolve_brute_force(params, prepare_initial(1, 0, M, k), t, max_qubits)

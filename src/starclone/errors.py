@@ -2,7 +2,7 @@
 
 
 class CapacityError(RuntimeError):
-    """A dense-matrix request exceeds the configured qubit cap."""
+    """A dense request exceeds the qubit cap or the memory estimate."""
 
 
 class OracleInconsistencyError(RuntimeError):

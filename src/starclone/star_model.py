@@ -6,15 +6,18 @@ One central qubit couples identically to M outer qubits:
         + (B/2) sum_{i=0..M} sz_i
 
 with the exchange coupling fixed to 1, so times and fields are
-dimensionless.  H conserves total magnetization.  On the maximal outer
-multiplet j = M/2 it splits into 2x2 blocks spanned by
-{ |0>|j, m-1>, |1>|j, m> } plus two stationary edge states, and the block
-eigensystem is known in closed form.
+dimensionless.  H conserves total magnetization, so in the computational
+basis it is block diagonal over the sectors of fixed popcount (number of
+one-bits); the dense builder assembles one such sector or the whole matrix.
+On the maximal outer multiplet j = M/2 it splits further into 2x2 blocks
+spanned by { |0>|j, m-1>, |1>|j, m> } plus two stationary edge states, and
+the block eigensystem is known in closed form.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +38,8 @@ __all__ = [
     "edge_eigenstate",
 ]
 
-# Dense 2^15 x 2^15 complex is the desk-scale ceiling (M = 14 outer spins).
+# 15 qubits (M = 14): the largest magnetization sector, C(15, 7) = 6435
+# states, is the biggest dense block the oracle diagonalises.
 DEFAULT_MAX_QUBITS = 15
 
 
@@ -68,13 +72,20 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class FullHamiltonian:
-    """Dense Hermitian matrix of the star Hamiltonian over 2**(M+1) states."""
+    """Dense Hermitian matrix of the star Hamiltonian on a set of basis states.
+
+    ``basis`` holds the sorted computational-basis indices that label the
+    rows and columns: all 2**(M+1) of them for the full matrix, or the
+    states of one magnetization sector (fixed popcount) for a block.
+    """
 
     params: ModelParams
     matrix: np.ndarray
+    basis: np.ndarray
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
+        self.basis.setflags(write=False)
 
     @property
     def dimension(self) -> int:
@@ -138,32 +149,74 @@ class EdgeState:
         return prepare_initial(alpha, beta, self.params.M, self.k)
 
 
-def build_full_hamiltonian(
-    params: ModelParams, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> FullHamiltonian:
-    """Assemble the dense Hamiltonian; magnetization blocks stay exactly zero.
+def _physical_ram_bytes() -> float:
+    """Physical memory reported by os.sysconf; unbounded where it reports none."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
-    Raises CapacityError when M + 1 exceeds ``max_qubits``.
+
+def _require_capacity(
+    n_qubits: int, max_qubits: int, block_dim: int | None = None
+) -> None:
+    """Raise CapacityError, before anything is allocated, if dense work won't fit.
+
+    Two limits: ``max_qubits``, and a byte estimate of a few 2**n_qubits state
+    vectors plus about four complex block_dim x block_dim matrices, checked
+    against physical RAM.  ``block_dim`` defaults to the largest magnetization
+    sector, C(n, n // 2).
+    """
+    if n_qubits > max_qubits:
+        raise CapacityError(
+            f"{n_qubits} qubits exceed the dense cap of {max_qubits} "
+            f"(2**{n_qubits} states)"
+        )
+    if block_dim is None:
+        block_dim = math.comb(n_qubits, n_qubits // 2)
+    # complex128: input, output and projection states; H, eigenvectors, eigh workspace
+    need = 16 * (8 * (1 << n_qubits) + 4 * block_dim**2)
+    ram = _physical_ram_bytes()
+    if need > ram:
+        gib = min(need, 2**1000) / 2**30  # exact ints; clipped so the float can't overflow
+        raise CapacityError(
+            f"dense evolution of {n_qubits} qubits needs about {gib:.3g} GiB, "
+            f"more than the {ram / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def build_full_hamiltonian(
+    params: ModelParams,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+    sector: int | None = None,
+) -> FullHamiltonian:
+    """Assemble the dense Hamiltonian, or its block on one magnetization sector.
+
+    With ``sector`` (a popcount in [0, M + 1]) only the basis states with that
+    many one-bits are kept; without it, all 2**(M+1) states, and the blocks
+    between different sectors stay exactly zero.  Raises CapacityError when
+    M + 1 exceeds ``max_qubits`` or the matrix would not fit in memory.
     """
     n = params.n_qubits
-    if n > max_qubits:
-        raise CapacityError(
-            f"{n} qubits exceed the dense cap of {max_qubits} "
-            f"(dimension 2**{n})"
-        )
-    dim = 1 << n
-    idx = np.arange(dim)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
+    if sector is not None and not 0 <= sector <= n:
+        raise ValueError(f"sector popcount must lie in [0, {n}], got {sector!r}")
+    dim = (1 << n) if sector is None else math.comb(n, sector)
+    _require_capacity(n, max_qubits, dim)
+    basis = np.arange(1 << n)
+    if sector is not None:
+        basis = basis[np.bitwise_count(basis) == sector]
+    bits = (basis[:, None] >> np.arange(n)[None, :]) & 1
     z = 1.0 - 2.0 * bits  # sigma^z eigenvalue of each qubit, +1 for bit 0
+    rows = np.arange(dim)
     matrix = np.zeros((dim, dim), dtype=np.complex128)
-    matrix[idx, idx] = 0.5 * params.lam * z[:, 0] * z[:, 1:].sum(axis=1) + (
+    matrix[rows, rows] = 0.5 * params.lam * z[:, 0] * z[:, 1:].sum(axis=1) + (
         0.5 * params.B * z.sum(axis=1)
     )
     for i in range(1, n):
-        differ = bits[:, 0] != bits[:, i]
-        src = idx[differ]
-        matrix[src ^ (1 | (1 << i)), src] += 1.0  # central-outer flip-flop
-    return FullHamiltonian(params, matrix)
+        src = rows[bits[:, 0] != bits[:, i]]
+        dst = np.searchsorted(basis, basis[src] ^ (1 | (1 << i)))
+        matrix[dst, src] += 1.0  # central-outer flip-flop, same popcount
+    return FullHamiltonian(params, matrix, basis)
 
 
 def sector_block(params: ModelParams, m: float) -> SectorBlock:

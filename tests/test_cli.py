@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ class TestFidelityCommand:
         with pytest.raises(SystemExit) as err:
             cli.main(["fidelity", "--m", "2", "--k", "1", "--t", "nan"])
         assert err.value.code == 2
+
+    def test_brute_nan_time_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fidelity", "--m", "2", "--k", "1", "--t", "nan",
+                      "--method", "brute"])
+        assert err.value.code == 2
+
+    def test_brute_oversized_request_fails_fast(self):
+        # M = 40 is a 16 TiB state, refused before any allocation
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fidelity", "--m", "40", "--k", "20", "--t", "1.0",
+                      "--max-qubits", "64", "--method", "brute"])
+        assert err.value.code == 2
+        assert time.perf_counter() - start < 1.0
 
 
 class TestConfigFiles:
@@ -342,6 +358,12 @@ class TestScanCommand:
         with pytest.raises(SystemExit) as err:
             cli.main(["scan", "--m", "2", "--k", "1", "--lambda", "1",
                       "--method", method, "--sweep", "t=-1:1:3"])
+        assert err.value.code == 2
+
+    def test_brute_negative_time_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["scan", "--m", "2", "--k", "1", "--lambda", "1",
+                      "--method", "brute", "--sweep", "t=-1:1:3"])
         assert err.value.code == 2
 
 

@@ -1,6 +1,7 @@
 """Fidelity formulas, bounds, presets and the reduced clone matrices."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,14 @@ class TestClosedForm:
     def test_non_finite_or_negative_inputs_rejected(self, lam, B, t):
         with pytest.raises(ValueError):
             fidelity_closed_form(3, 1, lam, B, t)
+
+    def test_huge_lambda_stays_finite(self):
+        # lam^2 would overflow inside the gaps; hypot keeps them finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = float(fidelity_closed_form(3, 1, 1e200, 0.3, 1.0))
+        assert math.isfinite(f)
+        assert f <= state_bound(3, 1)
 
     def test_degenerate_gap_is_exact_limit(self):
         # lam = 0, k = M: eta1 = 0, and sin(eta1 t/2)/eta1 -> t/2 turns the

@@ -1,0 +1,124 @@
+"""Dense oracle by magnetization sector: blocks, evolution, cache and capacity."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from starclone import dynamics, star_model
+from starclone.cloning import make_clone_report
+from starclone.dynamics import (
+    _dense_eigensystem,
+    amplitudes_from_brute_force,
+    evolve_brute_force,
+)
+from starclone.errors import CapacityError
+from starclone.hilbert import StateVector, prepare_initial
+from starclone.star_model import ModelParams, build_full_hamiltonian
+
+
+def random_params(rng, m):
+    return ModelParams(m, float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
+
+
+def random_state(rng, n_qubits):
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_blocks_equal_sub_blocks_of_full_matrix(self, m):
+        params = random_params(np.random.default_rng(m), m)
+        full = build_full_hamiltonian(params)
+        popcount = np.bitwise_count(np.arange(full.dimension))
+        for sector in range(m + 2):
+            block = build_full_hamiltonian(params, sector=sector)
+            expected = np.flatnonzero(popcount == sector)
+            assert np.array_equal(block.basis, expected)
+            assert block.dimension == math.comb(m + 1, sector)
+            assert np.array_equal(block.matrix, full.matrix[np.ix_(expected, expected)])
+
+    def test_full_basis_is_every_index(self):
+        ham = build_full_hamiltonian(ModelParams(3, 0.4, -0.2))
+        assert np.array_equal(ham.basis, np.arange(16))
+
+    @pytest.mark.parametrize("sector", [-1, 5])
+    def test_sector_out_of_range(self, sector):
+        with pytest.raises(ValueError):
+            build_full_hamiltonian(ModelParams(3, 0.0, 0.0), sector=sector)
+
+
+class TestSectorEvolution:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_full_matrix_exponential(self, m):
+        rng = np.random.default_rng(10 + m)
+        for _ in range(3):
+            params = random_params(rng, m)
+            psi0 = random_state(rng, m + 1)
+            t = float(rng.uniform(0.0, 20.0))
+            reference = expm(-1j * t * build_full_hamiltonian(params).matrix)
+            psi = evolve_brute_force(params, psi0, t)
+            assert np.abs(psi.amplitudes - reference @ psi0.amplitudes).max() < 1e-10
+
+    def test_cache_per_sector_across_times(self):
+        params = ModelParams(5, 0.314159, -0.271828)
+        psi0 = prepare_initial(0.6, 0.8, 5, 2)  # popcounts 3 and 4
+        _dense_eigensystem.cache_clear()
+        for t in (0.1, 0.2, 0.3):
+            evolve_brute_force(params, psi0, t)
+        info = _dense_eigensystem.cache_info()
+        assert info.misses == 2
+        assert info.hits == 4
+
+    def test_largest_block_at_m10(self, monkeypatch):
+        dims = []
+
+        def recording_builder(params, max_qubits, sector=None):
+            ham = build_full_hamiltonian(params, max_qubits, sector)
+            dims.append((sector, ham.dimension))
+            return ham
+
+        monkeypatch.setattr(dynamics, "build_full_hamiltonian", recording_builder)
+        _dense_eigensystem.cache_clear()
+        report = make_clone_report(ModelParams(10, 1.3, 0.4), 5, 2.0, method="brute")
+        _dense_eigensystem.cache_clear()
+        assert len(report.per_qubit_fidelities) == 11
+        assert all(sector is not None for sector, _ in dims)
+        assert max(dim for _, dim in dims) == 462
+
+
+class TestBruteTimeValidation:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_time_rejected(self, t):
+        params = ModelParams(2, 0.5, 0.1)
+        with pytest.raises(ValueError):
+            evolve_brute_force(params, prepare_initial(1, 0, 2, 1), t)
+        with pytest.raises(ValueError):
+            amplitudes_from_brute_force(params, 1, t)
+
+
+class TestCapacity:
+    def test_small_ram_raises_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(star_model, "_physical_ram_bytes", lambda: 1 << 20)
+        amplitudes_from_brute_force(ModelParams(7, 0.3, 0.2), 3, 1.0)
+        with pytest.raises(CapacityError):
+            amplitudes_from_brute_force(ModelParams(8, 0.3, 0.2), 4, 1.0)
+        with pytest.raises(CapacityError):
+            build_full_hamiltonian(ModelParams(8, 0.3, 0.2), sector=4)
+
+    def test_oversized_request_allocates_nothing(self):
+        # M = 40 is a 16 TiB state: the estimate must refuse it up front
+        params = ModelParams(40, 0.3, 0.2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                amplitudes_from_brute_force(params, 20, 1.0, max_qubits=64)
+            with pytest.raises(CapacityError):
+                make_clone_report(params, 20, 1.0, method="brute", max_qubits=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
