@@ -36,7 +36,7 @@ from .optimizer import (
     reproduce_table1,
     scan_and_refine,
 )
-from .star_model import DEFAULT_MAX_QUBITS, ModelParams
+from .star_model import DEFAULT_MAX_QUBITS, ModelParams, _require_point
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -45,7 +45,7 @@ EXIT_USAGE = 2
 
 _MODELS = ("xx", "heisenberg", "xxz")
 _METHODS = ("analytic", "closed-form", "brute")
-_SWEEP_AXES = ("t", "b", "lambda")
+_SWEEP_AXES = ("lambda", "b", "t")  # also the axis order of scan's fidelity array
 
 
 def _parse_bool(raw) -> bool:
@@ -149,8 +149,8 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("b", "--b", float, 0.0, help="fixed field (unless swept)"),
         _Opt("t", "--t", float, 0.0, help="fixed time (unless swept)"),
         _Opt("sweep", "--sweep", str, None, append=True,
-             help="sweep axis AXIS=LO:HI:N with AXIS in {t, b, lambda}; "
-                  "repeat for a second axis (first axis is the outer one)"),
+             help="sweep axis AXIS=LO:HI:N with AXIS in {t, b, lambda}; repeat for a "
+                  "second axis (the first is outer); all t go in one call per (lambda, B)"),
         _Opt("method", "--method", str, "analytic", choices=_METHODS,
              help="evaluation route"),
         _Opt("max_qubits", "--max-qubits", int, DEFAULT_MAX_QUBITS,
@@ -357,14 +357,14 @@ def cmd_fidelity(values: dict, parser: argparse.ArgumentParser) -> int:
 def cmd_optimize(values: dict, parser: argparse.ArgumentParser) -> int:
     lam = _resolve_lambda(values, parser)
     m = values["m"]
-    ks = values["k"]
-    if ks is None or ks == []:
-        ks = tuple(range(m + 1))
-    else:
-        ks = tuple(int(k) for k in ks)
-        if any(not 0 <= k <= m for k in ks):
-            parser.error(f"k values must lie in [0, {m}]")
+    ks = tuple(values["k"] or range(m + 1))
+
+    def objective(k, lam_, b, t):
+        return fidelity_closed_form(m, k, lam_, b, t)
+
     try:
+        for k in ks:
+            _require_point(m, k)
         box = SearchBox(
             b_range=tuple(values["b_range"]),
             t_range=tuple(values["t_range"]),
@@ -375,17 +375,13 @@ def cmd_optimize(values: dict, parser: argparse.ArgumentParser) -> int:
             refine_iters=values["refine_iters"],
             refine_tol=values["refine_tol"],
         )
-    except ValueError as exc:
+        if values["refine"]:
+            result = scan_and_refine(objective, box, m=m,
+                                     n_candidates=values["candidates"])
+        else:
+            result = grid_scan(objective, box, m=m)
+    except (ValueError, CapacityError) as exc:
         parser.error(str(exc))
-
-    def objective(k, lam_, b, t):
-        return fidelity_closed_form(m, k, lam_, b, t)
-
-    if values["refine"]:
-        result = scan_and_refine(objective, box, m=m,
-                                 n_candidates=values["candidates"])
-    else:
-        result = grid_scan(objective, box, m=m)
     best = result.best
     if values["format"] == "json":
         payload = {
@@ -547,37 +543,29 @@ def cmd_scan(values: dict, parser: argparse.ArgumentParser) -> int:
     ):
         parser.error("cannot sweep lambda while the model shorthand fixes it")
     m, k, method = values["m"], values["k"], values["method"]
-
-    def fidelity_at(lam_: float, b: float, t: float) -> float:
-        params = ModelParams(m, lam_, b)
-        if method == "closed-form":
-            return float(fidelity_closed_form(m, k, lam_, b, t))
-        if method == "brute":
-            return pcc_fidelity(
-                amplitudes_from_brute_force(params, k, t, values["max_qubits"])
-            )
-        return pcc_fidelity(evolve_analytic(params, k, t))
-
-    fixed = {"lambda": lam, "b": values["b"], "t": values["t"]}
-    axes = [s[0] for s in sweeps]
-    grids = [s[1] for s in sweeps]
-    if len(grids) == 1:
-        combos = ((v,) for v in grids[0])
-    else:
-        combos = ((u, v) for u in grids[0] for v in grids[1])
-    lines = ["M,k,lambda,B,t,fidelity,method"]
-    try:
-        for combo in combos:
-            point = dict(fixed)
-            for axis, value in zip(axes, combo):
-                point[axis] = float(value)
-            f = fidelity_at(point["lambda"], point["b"], point["t"])
-            lines.append(
-                f"{m},{k},{point['lambda']:.12g},{point['b']:.12g},"
-                f"{point['t']:.12g},{f:.12g},{method}"
-            )
+    grids = {"lambda": [lam], "b": [values["b"]], "t": [values["t"]], **dict(sweeps)}
+    lams, bs, ts = (np.asarray(grids[axis], dtype=np.float64) for axis in _SWEEP_AXES)
+    fidelity = np.empty((lams.size, bs.size, ts.size))
+    try:  # one route call per (lambda, B) pair, t innermost
+        for i, lam_ in enumerate(lams.tolist()):
+            for j, b in enumerate(bs.tolist()):
+                params = ModelParams(m, lam_, b)
+                if method == "closed-form":
+                    fidelity[i, j] = fidelity_closed_form(m, k, lam_, b, ts)
+                elif method == "analytic":
+                    fidelity[i, j] = pcc_fidelity(evolve_analytic(params, k, ts))
+                else:
+                    fidelity[i, j] = [pcc_fidelity(amplitudes_from_brute_force(
+                        params, k, t, values["max_qubits"])) for t in ts.tolist()]
     except (ValueError, CapacityError) as exc:
         parser.error(str(exc))
+    # rows run over the sweep axes, the first one outermost
+    swept = [_SWEEP_AXES.index(axis) for axis, _ in sweeps]
+    mesh = (*np.meshgrid(lams, bs, ts, indexing="ij"), fidelity)
+    columns = [np.moveaxis(a, swept, range(len(swept))).ravel().tolist() for a in mesh]
+    lines = ["M,k,lambda,B,t,fidelity,method"] + [
+        f"{m},{k},{lam_:.12g},{b:.12g},{t:.12g},{f:.12g},{method}"
+        for lam_, b, t, f in zip(*columns)]
     _emit("\n".join(lines), values["output"])
     return EXIT_OK
 

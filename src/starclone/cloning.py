@@ -27,7 +27,7 @@ from .dynamics import (
 )
 from .errors import FormulaInconsistencyError
 from .hilbert import QubitDensityMatrix, fidelity_pure, prepare_initial, reduce_qubit
-from .star_model import DEFAULT_MAX_QUBITS, ModelParams
+from .star_model import DEFAULT_MAX_QUBITS, ModelParams, _require_point
 
 __all__ = [
     "CloneReport",
@@ -54,7 +54,9 @@ _METHODS = ("analytic", "closed-form", "brute")
 
 
 def bloch_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
-    """(alpha, beta) = (cos(theta/2), e^{i phi} sin(theta/2))."""
+    """(alpha, beta) = (cos(theta/2), e^{i phi} sin(theta/2)); both angles finite."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"theta and phi must be finite, got {theta!r} and {phi!r}")
     return (
         complex(math.cos(theta / 2.0)),
         complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0),
@@ -137,14 +139,11 @@ def fidelity_closed_form(M: int, k: int, lam: float, B: float, t):
     whose exact limit t/2 covers the degenerate gaps (eta = 0 needs lam = 0
     with k = 0 or k = M).  Accepts a scalar or array t.
     """
-    if not 0 <= k <= M:
-        raise ValueError(f"k must lie in [0, {M}], got {k}")
+    _require_point(M, k, lam, B, t)
     # hypot, not sqrt of a sum: lam^2 would overflow for |lam| > 1e154
     eta1 = math.hypot(2.0 * math.sqrt((M - k) * (k + 1)), (M - 2 * k - 1) * lam)
     eta2 = math.hypot(2.0 * math.sqrt(k * (M - k + 1)), (M - 2 * k + 1) * lam)
     t = np.asarray(t, dtype=np.float64) if np.ndim(t) else float(t)
-    if not (math.isfinite(lam) and (np.isfinite(B) & (0 <= t) & (t < math.inf)).all()):
-        raise ValueError("lam and B must be finite, t finite and >= 0")
     half1, half2 = eta1 * t / 2.0, eta2 * t / 2.0
     c1, c2 = np.cos(half1), np.cos(half2)
     s1, s2 = 0.5 * t * _sinc(half1), 0.5 * t * _sinc(half2)  # sin(eta t/2) / eta
@@ -159,8 +158,7 @@ def state_bound(M: int, k: int) -> float:
 
     F <= 1/2 + max(sqrt(k(M-k+1)), sqrt((M-k)(k+1))) / (2M).
     """
-    if not 0 <= k <= M:
-        raise ValueError(f"k must lie in [0, {M}], got {k}")
+    _require_point(M, k)
     return 0.5 + max(
         math.sqrt(k * (M - k + 1)), math.sqrt((M - k) * (k + 1))
     ) / (2.0 * M)
@@ -171,8 +169,7 @@ def optimal_pcc_bound(M: int) -> float:
 
     1/2 + sqrt(M(M+2))/(4M) for even M, 1/2 + (M+1)/(4M) for odd M.
     """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    _require_point(M)
     if M % 2 == 0:
         return 0.5 + math.sqrt(M * (M + 2)) / (4.0 * M)
     return 0.5 + (M + 1) / (4.0 * M)
@@ -185,8 +182,7 @@ def xx_fidelity(M: int, k: int, B, t):
     with gamma1/2 = sqrt(k(M-k+1)) +- sqrt((k+1)(M-k)).  Vectorized in B
     and t.
     """
-    if not 0 <= k <= M:
-        raise ValueError(f"k must lie in [0, {M}], got {k}")
+    _require_point(M, k, B=B, t=t)
     root_a = math.sqrt(k * (M - k + 1))
     root_b = math.sqrt((k + 1) * (M - k))
     gamma1, gamma2 = root_a + root_b, root_a - root_b
@@ -201,8 +197,7 @@ def heisenberg_max_fidelity(M: int, k: int) -> float:
     Attained at B = 0, t = pi/(M+1):
     F = 1/2 + 1/(M+1) - 2k(M-k) / (M (M+1)^2).
     """
-    if not 0 <= k <= M:
-        raise ValueError(f"k must lie in [0, {M}], got {k}")
+    _require_point(M, k)
     return 0.5 + 1.0 / (M + 1) - 2.0 * k * (M - k) / (M * (M + 1) ** 2)
 
 
@@ -215,8 +210,7 @@ def kM_fidelity(M: int, lam: float, B, t):
     Its maximum over (lam, B, t) is 1/2 + 1/(2 sqrt(M)), reached at lam = 0,
     B = sqrt(M), t = pi/(2 sqrt(M)).  Vectorized in B and t.
     """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    _require_point(M, lam=lam, B=B, t=t)
     root = math.sqrt(4.0 * M + (M - 1) ** 2 * lam * lam)
     shift = 2.0 * np.asarray(B, dtype=np.float64) + (1 + M) * lam
     shift = shift if np.ndim(B) else float(shift)
@@ -302,8 +296,7 @@ def preset_k_equals_m(M: int) -> PresetSpec:
     lam = 0, B = sqrt(M), t = pi/(2 sqrt(M)) maximize the k = M family at
     F = 1/2 + 1/(2 sqrt(M)).
     """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    _require_point(M)
     return PresetSpec(
         name="kM_xx",
         M=M,

@@ -3,18 +3,18 @@
 The analytic route propagates the two invariant 2x2 blocks that carry the
 cloning initial state through one exact closed-form propagator (the
 identity at t = 0, a pure phase at the ladder ends) and returns the four
-transition amplitudes (f1, f2, g1, g2).  The oracle route uses only the
-computational basis and magnetization conservation: it eigendecomposes the
-dense Hamiltonian one magnetization sector (fixed popcount) at a time,
-evolves each sector that holds weight in the state and scatters the results
-back into the 2**(M+1) amplitudes.  Both use the common phase convention
-exp(-i H t): no global phase is stripped, because the relative phase
-between the two blocks enters the cloning fidelity.
+transition amplitudes (f1, f2, g1, g2), at a scalar t or a whole t array in
+one broadcast call.  The oracle route uses only the computational basis and
+magnetization conservation: it eigendecomposes the dense Hamiltonian one
+magnetization sector (fixed popcount) at a time, evolves each sector that
+holds weight in the state and scatters the results back into the 2**(M+1)
+amplitudes.  Both use the common phase convention exp(-i H t): no global
+phase is stripped, because the relative phase between the two blocks enters
+the cloning fidelity.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +28,7 @@ from .star_model import (
     ModelParams,
     _block_elements,
     _require_capacity,
+    _require_point,
     build_full_hamiltonian,
 )
 
@@ -49,28 +50,22 @@ class BlockAmplitudes:
     Starting from (alpha|0> + beta|1>)|S(M, k)>, the alpha component evolves
     into f1|0>|S(M,k)> + f2|1>|S(M,k+1)> and the beta component into
     g1|0>|S(M,k-1)> + g2|1>|S(M,k)>.  Each pair is unitary:
-    |f1|^2 + |f2|^2 = |g1|^2 + |g2|^2 = 1.
+    |f1|^2 + |f2|^2 = |g1|^2 + |g2|^2 = 1.  With an array t all four are arrays.
     """
 
     params: ModelParams
     k: int
-    t: float
-    f1: complex
-    f2: complex
-    g1: complex
-    g2: complex
+    t: float | np.ndarray
+    f1: complex | np.ndarray
+    f2: complex | np.ndarray
+    g1: complex | np.ndarray
+    g2: complex | np.ndarray
 
-    def unitarity_defect(self) -> float:
-        """Largest deviation of the two pair norms from 1."""
+    def unitarity_defect(self):
+        """Largest deviation of the two pair norms from 1, elementwise."""
         f_norm = abs(self.f1) ** 2 + abs(self.f2) ** 2
         g_norm = abs(self.g1) ** 2 + abs(self.g2) ** 2
-        return max(abs(f_norm - 1.0), abs(g_norm - 1.0))
-
-
-def _require_time(t: float) -> None:
-    """Reject a NaN, infinite or negative time on both evolution routes."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+        return np.maximum(abs(f_norm - 1.0), abs(g_norm - 1.0))
 
 
 def _sinc(x):
@@ -79,38 +74,34 @@ def _sinc(x):
     return np.sin(x) / x
 
 
-def _block_propagator(params: ModelParams, m: float, t: float) -> np.ndarray:
-    """exp(-i H t) on the 2x2 sector labelled by m, exact for every t >= 0.
+def evolve_analytic(params: ModelParams, k: int, t) -> BlockAmplitudes:
+    """Block-propagated amplitudes for (.)|S(M, k)> at a scalar or array t.
 
-    With h = c + d sz + eps sx, eta = 2 sqrt(d^2 + eps^2) and sinc(x) = sin(x)/x,
-    exp(-i h t) = e^{-i c t} [cos(eta t/2) - i t sinc(eta t/2) (d sz + eps sx)].
-    One step past a ladder end eps = 0: the surviving ket keeps its edge phase.
+    alpha evolves by column 0 of block m = k + 1 - M/2, beta by column 1 of
+    block m = k - M/2.  With h = c + d sz + eps sx, eta = 2 sqrt(d^2 + eps^2)
+    and sinc(x) = sin(x)/x, exp(-i h t) = e^{-i c t} [cos(eta t/2)
+    - i t sinc(eta t/2) (d sz + eps sx)] is exact for every t >= 0.  At k = M
+    (k = 0) that block is one step past the ladder end: eps = 0, f2 (g1) is 0.
     """
-    h00, eps, h11 = _block_elements(params, m)
-    c, d = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
-    half_eta_t = math.hypot(d, eps) * t
-    phase = cmath.exp(-1j * c * t)
-    cos = phase * math.cos(half_eta_t)
-    sin = -1j * phase * t * _sinc(half_eta_t)
-    return np.array([[cos + sin * d, sin * eps], [sin * eps, cos - sin * d]])
-
-
-def evolve_analytic(params: ModelParams, k: int, t: float) -> BlockAmplitudes:
-    """Block-propagated amplitudes for the initial state (.)|S(M, k)>.
-
-    alpha evolves in block m = k + 1 - M/2 and beta in m = k - M/2; at k = M
-    (k = 0) that block is one step past the ladder end, and f2 (g1) is 0.
-    """
-    if not 0 <= k <= params.M:
-        raise ValueError(f"k must lie in [0, {params.M}], got {k}")
-    _require_time(t)
+    _require_point(params.M, k, t=t)
+    t = float(t) if isinstance(t, (float, int)) else np.asarray(t, dtype=np.float64)
     m = k - params.j_outer
-    f1, f2 = _block_propagator(params, m + 1.0, t)[:, 0].tolist()
-    g1, g2 = _block_propagator(params, m, t)[:, 1].tolist()
-    return BlockAmplitudes(params, k, float(t), f1, f2, g1, g2)
+    columns = []
+    for block, sign in ((m + 1.0, 1.0), (m, -1.0)):
+        h00, eps, h11 = _block_elements(params, block)
+        c, d = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+        half_eta_t = math.hypot(d, eps) * t
+        phase = np.exp(-1j * c * t)
+        sin = -1j * phase * t * _sinc(half_eta_t)
+        columns.append((phase * np.cos(half_eta_t) + sin * (sign * d), sin * eps))
+    (f1, f2), (g2, g1) = columns  # each column lists its diagonal entry first
+    return BlockAmplitudes(params, k, t, f1, f2, g1, g2)
 
 
-@lru_cache(maxsize=128)
+# Each oracle input (alpha|0> + beta|1>)|S(M,k)> spans exactly sectors M-k and
+# M-k+1 and scan keeps t innermost: two slots serve a sweep, and a k-ladder (the
+# bounds suite) needs a third.  More only pin memory: 45 MiB a slot at M = 12.
+@lru_cache(maxsize=3)
 def _dense_eigensystem(
     params: ModelParams, sector: int, max_qubits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +129,7 @@ def evolve_brute_force(
             f"state has {psi0.n_qubits} qubits but the model needs "
             f"{params.n_qubits}"
         )
-    _require_time(t)
+    _require_point(params.M, t=t)
     psi = psi0.amplitudes
     popcount = np.bitwise_count(np.arange(psi.size))
     amplitudes = np.zeros_like(psi)
@@ -162,13 +153,13 @@ def amplitudes_from_brute_force(
     outside those states (beyond ORACLE_RESIDUAL_TOL) raises
     OracleInconsistencyError, since magnetization conservation forbids it.
     """
-    if not 0 <= k <= params.M:
-        raise ValueError(f"k must lie in [0, {params.M}], got {k}")
+    _require_point(params.M, k, t=t)
     _require_capacity(params.n_qubits, max_qubits)
     M = params.M
 
-    psi_f = evolve_brute_force(params, prepare_initial(1, 0, M, k), t, max_qubits)
-    f1 = prepare_initial(1, 0, M, k).overlap(psi_f)
+    ket_f = prepare_initial(1, 0, M, k)
+    psi_f = evolve_brute_force(params, ket_f, t, max_qubits)
+    f1 = ket_f.overlap(psi_f)
     f2 = prepare_initial(0, 1, M, k + 1).overlap(psi_f) if k < M else 0j
     residual = abs(psi_f.norm_squared() - abs(f1) ** 2 - abs(f2) ** 2)
     if residual > ORACLE_RESIDUAL_TOL:
@@ -177,9 +168,10 @@ def amplitudes_from_brute_force(
             f"(M={M}, k={k}, t={t!r})"
         )
 
-    psi_g = evolve_brute_force(params, prepare_initial(0, 1, M, k), t, max_qubits)
+    ket_g = prepare_initial(0, 1, M, k)
+    psi_g = evolve_brute_force(params, ket_g, t, max_qubits)
     g1 = prepare_initial(1, 0, M, k - 1).overlap(psi_g) if k > 0 else 0j
-    g2 = prepare_initial(0, 1, M, k).overlap(psi_g)
+    g2 = ket_g.overlap(psi_g)
     residual = abs(psi_g.norm_squared() - abs(g1) ** 2 - abs(g2) ** 2)
     if residual > ORACLE_RESIDUAL_TOL:
         raise OracleInconsistencyError(

@@ -13,6 +13,7 @@ arithmetic satisfies this automatically.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -69,8 +70,8 @@ def worker_count() -> int:
 
 def _as_range(name: str, pair) -> tuple[float, float]:
     lo, hi = (float(pair[0]), float(pair[1]))
-    if not lo <= hi:
-        raise ValueError(f"{name} must satisfy lo <= hi, got ({lo!r}, {hi!r})")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"{name} must be finite with lo <= hi, got ({lo!r}, {hi!r})")
     return lo, hi
 
 
@@ -107,9 +108,11 @@ class SearchBox:
             object.__setattr__(self, "lam", _as_range("lam", self.lam))
             if self.n_lambda < 2:
                 raise ValueError("a lam range needs n_lambda >= 2")
+        elif not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
         else:
             object.__setattr__(self, "lam", float(self.lam))
-        if self.refine_tol <= 0:
+        if not self.refine_tol > 0:
             raise ValueError("refine_tol must be positive")
         if self.refine_iters < 1:
             raise ValueError("refine_iters must be >= 1")

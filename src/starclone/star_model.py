@@ -43,6 +43,29 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 15
 
 
+def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> None:
+    """Raise ValueError unless (M, k, lam, B, t) lies in the model's domain.
+
+    M is an integer >= 1 and k an integer in [0, M], a bool being neither;
+    lam and B are finite, and t is finite and >= 0, elementwise for arrays.
+    Python scalars skip numpy; an array t costs one min/max pass.
+    """
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
+        raise ValueError(f"M must be an integer >= 1, got {M!r}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= M:
+        raise ValueError(f"k must be an integer in [0, {M}], got {k!r}")
+    for x in (lam, B):
+        if not (math.isfinite(x) if isinstance(x, (float, int)) else np.isfinite(x).all()):
+            raise ValueError(f"lam and B must be finite, got {lam!r} and {B!r}")
+    if isinstance(t, (float, int)):
+        lo = hi = t
+    else:
+        t = np.asarray(t, dtype=np.float64)
+        lo, hi = t.min(initial=0.0), t.max(initial=0.0)  # a NaN propagates into both
+    if not (0.0 <= lo and hi < math.inf):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Star-network parameters: M outer spins, anisotropy lam, field B (J = 1)."""
@@ -52,13 +75,11 @@ class ModelParams:
     B: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.M, (int, np.integer)) or self.M < 1:
-            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
+        lam, B = float(self.lam), float(self.B)
+        _require_point(self.M, lam=lam, B=B)
         object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "B", float(self.B))
-        if not (math.isfinite(self.lam) and math.isfinite(self.B)):
-            raise ValueError("lam and B must be finite")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "B", B)
 
     @property
     def n_qubits(self) -> int:

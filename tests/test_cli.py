@@ -367,6 +367,34 @@ class TestScanCommand:
         assert err.value.code == 2
 
 
+class TestInputContract:
+    """Bad input exits 2 with argparse's message and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--m", "0", "--n-t", "11", "--n-b", "3", "--format", "json"],
+            ["optimize", "--m", "2", "--lambda", "nan", "--n-t", "11", "--n-b", "3"],
+            ["optimize", "--m", "2", "--b-range", "0", "inf", "--n-t", "11", "--n-b", "3"],
+            ["optimize", "--m", "2", "--refine-tol", "nan", "--n-t", "11", "--n-b", "3"],
+            ["fidelity", "--m", "2", "--k", "1", "--t", "1", "--theta", "nan"],
+            ["fidelity", "--m", "2", "--k", "1", "--t", "1", "--theta", "nan",
+             "--method", "brute"],
+        ],
+        ids=["optimize-m0", "optimize-lambda-nan", "optimize-b-range-inf",
+             "optimize-refine-tol-nan", "fidelity-theta-nan-analytic",
+             "fidelity-theta-nan-brute"],
+    )
+    def test_exits_2_without_traceback(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert "nan" not in captured.out.lower()
+
+
 class TestPresetsCommand:
     def test_even_m_lists_four_presets(self, capsys):
         code, payload = run_json(capsys, "presets", "--m", "4")

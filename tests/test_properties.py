@@ -1,13 +1,16 @@
 """Property tests over the whole input box, degenerate gaps included.
 
 lam = 0 with k = 0 or k = M makes one block gap vanish; those points are
-drawn explicitly rather than left to chance.
+drawn explicitly rather than left to chance.  Points outside the domain are
+drawn too: there every route must raise the same error type.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starclone.cloning import fidelity_closed_form, pcc_fidelity
+from starclone.cloning import fidelity_closed_form, kM_fidelity, pcc_fidelity, xx_fidelity
 from starclone.dynamics import amplitudes_from_brute_force, evolve_analytic
 from starclone.star_model import ModelParams
 
@@ -40,3 +43,49 @@ def test_closed_form_matches_block_propagation(point):
     params, k, t = point
     closed = float(fidelity_closed_form(params.M, k, params.lam, params.B, t))
     assert abs(closed - pcc_fidelity(evolve_analytic(params, k, t))) < 1e-9
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def any_points(draw):
+    """(M, k, lam, B, t) inside or outside the domain, with no ModelParams."""
+    M = draw(st.one_of(st.integers(1, 4), st.sampled_from([0, -1, True])))
+    k = draw(st.one_of(st.integers(-1, 5), st.just(M), st.sampled_from([1.5, True])))
+    lam = draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0), st.sampled_from(NON_FINITE)))
+    B = draw(st.one_of(st.floats(-5.0, 5.0), st.sampled_from(NON_FINITE)))
+    t = draw(st.one_of(st.floats(0.0, 50.0), st.sampled_from(NON_FINITE + (-1.0,))))
+    return M, k, lam, B, t
+
+
+def _outcome(route):
+    """The fidelity a route returns, or the type of the exception it raises."""
+    try:
+        return float(route())
+    except Exception as exc:  # the type is what the property compares
+        return type(exc)
+
+
+@PROPERTY_SETTINGS
+@given(any_points())
+def test_every_route_agrees_or_raises_the_same_error(point):
+    M, k, lam, B, t = point
+    routes = {
+        "analytic": lambda: pcc_fidelity(evolve_analytic(ModelParams(M, lam, B), k, t)),
+        "brute": lambda: pcc_fidelity(
+            amplitudes_from_brute_force(ModelParams(M, lam, B), k, t)
+        ),
+        "closed form": lambda: fidelity_closed_form(M, k, lam, B, t),
+    }
+    if lam == 0.0:
+        routes["xx"] = lambda: xx_fidelity(M, k, B, t)
+    if not isinstance(k, bool) and k == M:
+        routes["kM"] = lambda: kM_fidelity(M, lam, B, t)
+    outcomes = {name: _outcome(route) for name, route in routes.items()}
+    raised = {o for o in outcomes.values() if isinstance(o, type)}
+    if raised:
+        assert len(raised) == 1, outcomes
+        assert all(isinstance(o, type) for o in outcomes.values()), outcomes
+    else:
+        assert max(outcomes.values()) - min(outcomes.values()) < 1e-9, outcomes

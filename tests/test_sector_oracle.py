@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from starclone import dynamics, star_model
+from starclone import cli, dynamics, star_model
 from starclone.cloning import make_clone_report
 from starclone.dynamics import (
     _dense_eigensystem,
@@ -122,3 +122,26 @@ class TestCapacity:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestOracleWork:
+    def test_brute_scan_keeps_at_most_three_eigensystems(self, capsys):
+        _dense_eigensystem.cache_clear()
+        code = cli.main(["scan", "--m", "4", "--k", "2", "--lambda", "1",
+                         "--method", "brute",
+                         "--sweep", "b=0:1:50", "--sweep", "t=0:1:3"])
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 151
+        assert _dense_eigensystem.cache_info().currsize <= 3
+
+    @pytest.mark.parametrize("k, calls", [(0, 3), (1, 4), (2, 4), (3, 4), (4, 3)])
+    def test_each_evolved_input_is_reused_for_its_overlap(self, monkeypatch, k, calls):
+        count = []
+
+        def counting(*args):
+            count.append(args)
+            return prepare_initial(*args)
+
+        monkeypatch.setattr(dynamics, "prepare_initial", counting)
+        amplitudes_from_brute_force(ModelParams(4, 0.3, 0.2), k, 1.0)
+        assert len(count) == calls
