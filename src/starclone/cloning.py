@@ -2,13 +2,10 @@
 
 After free evolution the reduced state of one outer qubit depends only on
 the four block amplitudes, and the equatorial fidelity depends only on the
-two interference terms Re(f1* g1) and Re(f2* g2).  The closed-form
-specialization is expressed through the two block gaps
+two interference terms Re(f1* g1) and Re(f2* g2).  For every (M, k, lam) its
+closed form is one normal form of four zero-phase cosines (see _normal_form):
 
-    eta1 = sqrt(4 (M-k)(k+1) + (M-2k-1)^2 lam^2)
-    eta2 = sqrt(4 k (M-k+1) + (M-2k+1)^2 lam^2),
-
-which enter only as sin(eta t/2)/eta, regular at eta = 0.
+    F = 1/2 + (p+ sin w+t + p- sin w-t) sin Bt + q (cos w-t - cos w+t) cos Bt.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import numpy as np
 
 from .dynamics import (
     BlockAmplitudes,
-    _sinc,
     amplitudes_from_brute_force,
     evolve_analytic,
     evolve_brute_force,
@@ -125,32 +121,44 @@ def pcc_fidelity(amp: BlockAmplitudes) -> float:
     return 0.25 * (2.0 + term1 + term2)
 
 
-def fidelity_closed_form(M: int, k: int, lam: float, B: float, t):
-    """Closed-form equatorial fidelity of the XXZ star.
+def _normal_form(M: int, k: int, lam: float):
+    """(p_plus, p_minus, q, omega_plus, omega_minus) of the closed form.
 
-    F = 1/2 + (k(M-k+1) chi1 - (M-k)(k+1) chi2) / (M eta1 eta2) with
+    With K1 = k(M-k+1), K2 = (M-k)(k+1) and the block gaps
+    eta1 = sqrt(4 K2 + (M-2k-1)^2 lam^2), eta2 = sqrt(4 K1 + (M-2k+1)^2 lam^2):
+    r1 = K1/eta2, r2 = K2/eta1, g1 = (M-2k-1) lam/eta1, g2 = (M-2k+1) lam/eta2,
+    each 0 where its numerator is 0, the only place its gap can vanish;
+    p+- = (+-r1 - r2)/(2M), q = (r2 g2 - r1 g1)/(2M), omega+- = (eta1 +- eta2)/2.
+    """
+    K1, K2 = k * (M - k + 1), (M - k) * (k + 1)
+    d1, d2 = (M - 2 * k - 1) * lam, (M - 2 * k + 1) * lam
+    # hypot, not sqrt of a sum: lam^2 would overflow for |lam| > 1e154
+    eta1 = math.hypot(2.0 * math.sqrt(K2), d1)
+    eta2 = math.hypot(2.0 * math.sqrt(K1), d2)
+    r1, r2 = (K1 / eta2 if K1 else 0.0), (K2 / eta1 if K2 else 0.0)
+    g1, g2 = (d1 / eta1 if d1 else 0.0), (d2 / eta2 if d2 else 0.0)
+    two_m = 2.0 * M
+    return (
+        (r1 - r2) / two_m, -(r1 + r2) / two_m, (r2 * g2 - r1 * g1) / two_m,
+        (eta1 + eta2) / 2.0, (eta1 - eta2) / 2.0,
+    )
 
-      chi1 = eta1 cos(eta1 t/2) sin(B t) sin(eta2 t/2)
-             - lam (M-2k-1) sin(eta1 t/2) cos(B t) sin(eta2 t/2)
-      chi2 = eta2 cos(eta2 t/2) sin(B t) sin(eta1 t/2)
-             - lam (M-2k+1) sin(eta2 t/2) cos(B t) sin(eta1 t/2).
 
-    Each eta is divided out through sin(eta t/2)/eta = (t/2) sinc(eta t/2),
-    whose exact limit t/2 covers the degenerate gaps (eta = 0 needs lam = 0
-    with k = 0 or k = M).  Accepts a scalar or array t.
+def fidelity_closed_form(M: int, k: int, lam: float, B, t):
+    """Closed-form equatorial fidelity of the XXZ star, vectorized in B and t.
+
+    F = 1/2 + (p+ sin w+t + p- sin w-t) sin Bt + q (cos w-t - cos w+t) cos Bt
+    with the coefficients of _normal_form; the cos Bt term runs only if q != 0.
     """
     _require_point(M, k, lam, B, t)
-    # hypot, not sqrt of a sum: lam^2 would overflow for |lam| > 1e154
-    eta1 = math.hypot(2.0 * math.sqrt((M - k) * (k + 1)), (M - 2 * k - 1) * lam)
-    eta2 = math.hypot(2.0 * math.sqrt(k * (M - k + 1)), (M - 2 * k + 1) * lam)
-    t = np.asarray(t, dtype=np.float64) if np.ndim(t) else float(t)
-    half1, half2 = eta1 * t / 2.0, eta2 * t / 2.0
-    c1, c2 = np.cos(half1), np.cos(half2)
-    s1, s2 = 0.5 * t * _sinc(half1), 0.5 * t * _sinc(half2)  # sin(eta t/2) / eta
-    sb, cb = np.sin(B * t), np.cos(B * t)
-    u1 = c1 * sb * s2 - lam * (M - 2 * k - 1) * s1 * cb * s2  # chi1 / (eta1 eta2)
-    u2 = c2 * sb * s1 - lam * (M - 2 * k + 1) * s2 * cb * s1  # chi2 / (eta1 eta2)
-    return 0.5 + (k * (M - k + 1) * u1 - (M - k) * (k + 1) * u2) / M
+    p_plus, p_minus, q, omega_plus, omega_minus = _normal_form(M, k, lam)
+    B = B if isinstance(B, float) else np.asarray(B, dtype=np.float64)
+    t = t if isinstance(t, float) else np.asarray(t, dtype=np.float64)
+    a = p_plus * np.sin(omega_plus * t) + p_minus * np.sin(omega_minus * t)
+    f = 0.5 + a * np.sin(B * t)
+    if q:
+        f = f + q * (np.cos(omega_minus * t) - np.cos(omega_plus * t)) * np.cos(B * t)
+    return f
 
 
 def state_bound(M: int, k: int) -> float:
@@ -178,17 +186,12 @@ def optimal_pcc_bound(M: int) -> float:
 def xx_fidelity(M: int, k: int, B, t):
     """Equatorial fidelity of the isotropic-plane (lam = 0) star.
 
+    The lam = 0 case of fidelity_closed_form: q = 0, so
+    F = 1/2 + (p+ sin w+t + p- sin w-t) sin Bt.  Equivalently
     F = 1/2 + (gamma1 sin(gamma2 t) + gamma2 sin(gamma1 t)) sin(B t) / (4M)
-    with gamma1/2 = sqrt(k(M-k+1)) +- sqrt((k+1)(M-k)).  Vectorized in B
-    and t.
+    with gamma1/2 = sqrt(k(M-k+1)) +- sqrt((k+1)(M-k)).
     """
-    _require_point(M, k, B=B, t=t)
-    root_a = math.sqrt(k * (M - k + 1))
-    root_b = math.sqrt((k + 1) * (M - k))
-    gamma1, gamma2 = root_a + root_b, root_a - root_b
-    return 0.5 + (gamma1 * np.sin(gamma2 * t) + gamma2 * np.sin(gamma1 * t)) * (
-        np.sin(B * t) / (4.0 * M)
-    )
+    return fidelity_closed_form(M, k, 0.0, B, t)
 
 
 def heisenberg_max_fidelity(M: int, k: int) -> float:
@@ -204,19 +207,13 @@ def heisenberg_max_fidelity(M: int, k: int) -> float:
 def kM_fidelity(M: int, lam: float, B, t):
     """Equatorial fidelity for the fully polarized initial register (k = M).
 
-    With R = sqrt(4M + (M-1)^2 lam^2),
-    F = 1/2 + { cos[(2B + (1+M)lam - R) t/2] - cos[(2B + (1+M)lam + R) t/2] }
-              / (2R).
+    The k = M case of fidelity_closed_form, with p+ = -p- = 1/(2R) and
+    q = sign(lam)/(2R) for R = sqrt(4M + (M-1)^2 lam^2).  Equivalently
+    F = 1/2 + {cos[(2B + (1+M)lam - R) t/2] - cos[(2B + (1+M)lam + R) t/2]} / (2R).
     Its maximum over (lam, B, t) is 1/2 + 1/(2 sqrt(M)), reached at lam = 0,
-    B = sqrt(M), t = pi/(2 sqrt(M)).  Vectorized in B and t.
+    B = sqrt(M), t = pi/(2 sqrt(M)).
     """
-    _require_point(M, lam=lam, B=B, t=t)
-    root = math.sqrt(4.0 * M + (M - 1) ** 2 * lam * lam)
-    shift = 2.0 * np.asarray(B, dtype=np.float64) + (1 + M) * lam
-    shift = shift if np.ndim(B) else float(shift)
-    return 0.5 + (
-        np.cos((shift - root) * t / 2.0) - np.cos((shift + root) * t / 2.0)
-    ) / (2.0 * root)
+    return fidelity_closed_form(M, M, lam, B, t)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ _HERMITICITY_ATOL = 1e-10
 
 def _require_normalized_pair(alpha: complex, beta: complex) -> None:
     weight = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(weight - 1.0) > _PAIR_NORM_ATOL:
+    if not abs(weight - 1.0) <= _PAIR_NORM_ATOL:  # a NaN weight fails too
         raise ValueError(
             f"(alpha, beta) must satisfy |alpha|^2 + |beta|^2 = 1, got {weight!r}"
         )
@@ -59,7 +59,7 @@ class StateVector:
                 f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= _NORM_ATOL:  # a NaN norm fails too
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -197,7 +197,7 @@ def suite_ancilla_free(seed: int = 0, trials: int | None = None) -> SuiteResult:
 
 
 def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
-    """Interference bound plus the two fixed-coupling maxima."""
+    """Interference bound, its attainment, and the two fixed-coupling maxima."""
     trials = 500 if trials is None else trials
     rng = np.random.default_rng(seed)
     violations = [
@@ -252,6 +252,14 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
     )
     checks.append(
         Check("polarized-register maximizer vs 1/2 + 1/(2 sqrt M) (M <= 9)", worst_km, 1e-9)
+    )
+    # the violation checks above only bound F from above; a bound set too high fails here
+    attained = _worst(
+        abs(float(fidelity_closed_form(p.M, p.k, p.lam, p.B, p.t)) - state_bound(p.M, p.k))
+        for p in map(preset_optimal, range(2, 9))
+    )
+    checks.append(
+        Check("optimal presets attain the interference bound (2 <= M <= 8)", attained, 1e-12)
     )
     return SuiteResult("bounds", seed, tuple(checks))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from starclone.cloning import (
+    _normal_form,
     bloch_amplitudes,
     fidelity_closed_form,
     heisenberg_max_fidelity,
@@ -214,6 +215,14 @@ class TestBounds:
         assert abs(optimal_pcc_bound(2) - 0.853553) < 5e-7
         assert optimal_pcc_bound(5) == pytest.approx(0.8, abs=1e-15)
         assert abs(optimal_pcc_bound(8) - 0.779508) < 5e-7
+
+    def test_normal_form_ceiling_at_lam0(self):
+        # q = 0 at lam = 0, so F <= 1/2 + |p+| + |p-|, and that ceiling is the bound
+        for m in range(1, 13):
+            for k in range(m + 1):
+                p_plus, p_minus, q, _, _ = _normal_form(m, k, 0.0)
+                assert q == 0.0
+                assert abs(0.5 + abs(p_plus) + abs(p_minus) - state_bound(m, k)) <= 1e-15
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,10 @@ class TestPrepareInitial:
         with pytest.raises(ValueError):
             prepare_initial(1.0, 0.5, 2, 1)
 
+    def test_rejects_nan_pair(self):
+        with pytest.raises(ValueError):
+            prepare_initial(math.nan, 0.0, 2, 1)
+
     def test_norm_after_preparation(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -193,6 +197,10 @@ class TestFidelityPure:
         with pytest.raises(ValueError):
             fidelity_pure(rho, 1.0, 1.0)
 
+    def test_rejects_nan_state(self):
+        with pytest.raises(ValueError):
+            fidelity_pure(QubitDensityMatrix(1, 0, 0), math.nan, 0.0)
+
 
 class TestQubitDensityMatrix:
     def test_rho10_is_exact_conjugate(self):
@@ -233,6 +241,10 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             StateVector(1, np.array([1.0, 1.0]))
+
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError):
+            StateVector(1, [math.nan, 0])
 
     def test_amplitudes_read_only(self):
         psi = prepare_initial(1, 0, 2, 1)

@@ -36,6 +36,15 @@ class TestNanRoutes:
         assert not result.passed
 
 
+class TestBoundAttainment:
+    def test_raised_bound_fails_the_suite(self, monkeypatch):
+        # an upper limit set too high passes every violation check
+        real = verify.state_bound
+        monkeypatch.setattr(verify, "state_bound", lambda M, k: real(M, k) + 0.05)
+        for seed in range(3):
+            assert not run_suite("bounds", seed=seed, trials=3).passed
+
+
 class TestTrials:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):
