@@ -36,7 +36,7 @@ from .optimizer import (
     reproduce_table1,
     scan_and_refine,
 )
-from .star_model import DEFAULT_MAX_QUBITS, ModelParams, _require_point
+from .star_model import DEFAULT_MAX_QUBITS, ModelParams, _require_memory, _require_point
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -46,6 +46,9 @@ EXIT_USAGE = 2
 _MODELS = ("xx", "heisenberg", "xxz")
 _METHODS = ("analytic", "closed-form", "brute")
 _SWEEP_AXES = ("lambda", "b", "t")  # also the axis order of scan's fidelity array
+# scan's memory per CSV row: the fidelity array, three mesh copies, four
+# column lists and the row text (about 320 bytes measured with tracemalloc)
+_SCAN_BYTES_PER_ROW = 400
 
 
 def _parse_bool(raw) -> bool:
@@ -430,7 +433,7 @@ def cmd_table1(values: dict, parser: argparse.ArgumentParser) -> int:
     try:
         rows = reproduce_table1(ms=ms, n_b=values["n_b"], n_t=values["n_t"],
                                 refine=values["refine"])
-    except ValueError as exc:
+    except (ValueError, CapacityError) as exc:
         parser.error(str(exc))
     if values["format"] == "json":
         payload = {
@@ -516,18 +519,18 @@ def cmd_verify(values: dict, parser: argparse.ArgumentParser, suite: str) -> int
 
 
 def _parse_sweep(text: str, parser: argparse.ArgumentParser):
+    """(axis, (lo, hi, count)) of one AXIS=LO:HI:N sweep, nothing allocated."""
     try:
         axis, _, rest = text.partition("=")
         lo, hi, count = rest.split(":")
-        axis = axis.strip().lower()
-        values = np.linspace(float(lo), float(hi), int(count))
+        axis, lo, hi, count = axis.strip().lower(), float(lo), float(hi), int(count)
     except ValueError:
         parser.error(f"bad sweep axis {text!r}; expected AXIS=LO:HI:N")
     if axis not in _SWEEP_AXES:
         parser.error(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
-    if int(count) < 1:
+    if count < 1:
         parser.error("sweep point count must be >= 1")
-    return axis, values
+    return axis, (lo, hi, count)
 
 
 def cmd_scan(values: dict, parser: argparse.ArgumentParser) -> int:
@@ -543,10 +546,13 @@ def cmd_scan(values: dict, parser: argparse.ArgumentParser) -> int:
     ):
         parser.error("cannot sweep lambda while the model shorthand fixes it")
     m, k, method = values["m"], values["k"], values["method"]
-    grids = {"lambda": [lam], "b": [values["b"]], "t": [values["t"]], **dict(sweeps)}
-    lams, bs, ts = (np.asarray(grids[axis], dtype=np.float64) for axis in _SWEEP_AXES)
-    fidelity = np.empty((lams.size, bs.size, ts.size))
+    n_rows = math.prod(count for _, (_, _, count) in sweeps)
     try:  # one route call per (lambda, B) pair, t innermost
+        _require_memory(_SCAN_BYTES_PER_ROW * n_rows, f"a scan of {n_rows} rows")
+        grids = {"lambda": [lam], "b": [values["b"]], "t": [values["t"]],
+                 **{axis: np.linspace(*spec) for axis, spec in sweeps}}
+        lams, bs, ts = (np.asarray(grids[axis], dtype=np.float64) for axis in _SWEEP_AXES)
+        fidelity = np.empty((lams.size, bs.size, ts.size))
         for i, lam_ in enumerate(lams.tolist()):
             for j, b in enumerate(bs.tolist()):
                 params = ModelParams(m, lam_, b)

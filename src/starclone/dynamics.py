@@ -83,7 +83,7 @@ def evolve_analytic(params: ModelParams, k: int, t) -> BlockAmplitudes:
     - i t sinc(eta t/2) (d sz + eps sx)] is exact for every t >= 0.  At k = M
     (k = 0) that block is one step past the ladder end: eps = 0, f2 (g1) is 0.
     """
-    _require_point(params.M, k, t=t)
+    _require_point(params.M, k, params.lam, params.B, t)
     t = float(t) if isinstance(t, (float, int)) else np.asarray(t, dtype=np.float64)
     m = k - params.j_outer
     columns = []
@@ -129,7 +129,7 @@ def evolve_brute_force(
             f"state has {psi0.n_qubits} qubits but the model needs "
             f"{params.n_qubits}"
         )
-    _require_point(params.M, t=t)
+    _require_point(params.M, lam=params.lam, B=params.B, t=t)
     psi = psi0.amplitudes
     popcount = np.bitwise_count(np.arange(psi.size))
     amplitudes = np.zeros_like(psi)
@@ -153,7 +153,7 @@ def amplitudes_from_brute_force(
     outside those states (beyond ORACLE_RESIDUAL_TOL) raises
     OracleInconsistencyError, since magnetization conservation forbids it.
     """
-    _require_point(params.M, k, t=t)
+    _require_point(params.M, k, params.lam, params.B, t)
     _require_capacity(params.n_qubits, max_qubits)
     M = params.M
 

@@ -2,26 +2,28 @@
 
 The search is a dense Cartesian grid scan with a deterministic argmax (ties
 resolved toward smaller t, then smaller B, k and lam) followed by
-derivative-free simplex refinement clipped to the box.  Grid rows may be
-evaluated by a thread pool, but the reduction runs in fixed row order, so
-the result is bit-identical for any worker count.
+derivative-free simplex refinement clipped to the box.  The scan is serial:
+for each (k, lam) it evaluates the B rows in blocks, one objective call per
+block, so a kernel computes its B-independent factors once per block.
 
-Objectives are callables ``objective(k, lam, B, t)`` where ``t`` may be a
-scalar or a 1-D array (returning matching shape); plain numpy ufunc
-arithmetic satisfies this automatically.
+Objectives are callables ``objective(k, lam, B, t)``.  The grid scan passes
+a column of B values, shape (n, 1), against the 1-D t row and expects an
+(n, n_t) array back (or one n_t row when the value does not depend on B);
+refinement passes scalars.  Plain numpy ufunc arithmetic in B and t
+satisfies both.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .cloning import optimal_pcc_bound, xx_fidelity
+from .star_model import _require_memory
 
 __all__ = [
     "WORKERS_ENV_VAR",
@@ -56,9 +58,16 @@ XX_REFERENCE_MAXIMA: dict[int, tuple[float, float, float, int]] = {
 
 _REFERENCE_FLAG_TOL = 1e-4
 
+# Grid values per objective call: 8 B rows of the 30,001-point paper t grid.
+_BLOCK_ELEMENTS = 2**18
+
 
 def worker_count() -> int:
-    """Worker threads for grid evaluation; STARCLONE_WORKERS overrides."""
+    """Worker count from STARCLONE_WORKERS, else the CPU count.
+
+    The grid scan is serial, so the count changes neither results nor speed;
+    it is kept for callers that report or check it.
+    """
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is not None and raw.strip():
         count = int(raw)
@@ -116,6 +125,15 @@ class SearchBox:
             raise ValueError("refine_tol must be positive")
         if self.refine_iters < 1:
             raise ValueError("refine_iters must be >= 1")
+        n_lam = self.n_lambda if isinstance(self.lam, tuple) else 1
+        rows = len(ks) * n_lam * self.n_b
+        block = min(self.n_b, max(1, _BLOCK_ELEMENTS // self.n_t))
+        # the t grid and one block of B rows, each with a few kernel
+        # temporaries, plus a ranked record per (k, lam, B) row
+        _require_memory(
+            64 * self.n_t * (1 + block) + 384 * rows,
+            f"a grid scan of {rows} B rows by {self.n_t} t points",
+        )
 
     def b_grid(self) -> np.ndarray:
         return np.linspace(self.b_range[0], self.b_range[1], self.n_b)
@@ -163,18 +181,6 @@ def _better(candidate: BestPoint, incumbent: BestPoint | None) -> bool:
     return candidate.tie_key() < incumbent.tie_key()
 
 
-def _scan_row(objective, k: int, lam: float, b: float, t_grid: np.ndarray):
-    values = np.asarray(objective(k, lam, b, t_grid), dtype=np.float64)
-    if values.shape != t_grid.shape:
-        raise ValueError(
-            "objective must return one value per time sample, got shape "
-            f"{values.shape}"
-        )
-    idx = int(np.argmax(values))  # first maximum: smallest t wins exact ties
-    second = float(np.partition(values, -2)[-2])
-    return float(values[idx]), idx, second
-
-
 def grid_scan(
     objective,
     box: SearchBox,
@@ -189,50 +195,41 @@ def grid_scan(
     ``candidate_spacing`` apart in t), for multi-start refinement.
     """
     t_grid = box.t_grid()
-    rows = [
-        (k, float(lam), float(b))
-        for k in box.k_candidates
-        for lam in box.lam_grid()
-        for b in box.b_grid()
-    ]
-    workers = worker_count()
-    if workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(rows) // (workers * 4))
-            row_results = list(
-                pool.map(
-                    lambda row: _scan_row(objective, *row, t_grid),
-                    rows,
-                    chunksize=chunk,
-                )
-            )
-    else:
-        row_results = [_scan_row(objective, *row, t_grid) for row in rows]
-
+    b_grid = box.b_grid()
+    per_block = max(1, _BLOCK_ELEMENTS // t_grid.size)
+    points: list[BestPoint] = []
     best: BestPoint | None = None
-    best_row = -1
-    for i, ((k, lam, b), (f, idx, _second)) in enumerate(zip(rows, row_results)):
-        point = BestPoint(m, k, lam, b, float(t_grid[idx]), f)
-        if _better(point, best):
-            best = point
-            best_row = i
+    for k in box.k_candidates:
+        for lam in box.lam_grid().tolist():
+            for start in range(0, b_grid.size, per_block):
+                bs = b_grid[start : start + per_block]
+                values = np.asarray(objective(k, lam, bs[:, None], t_grid), dtype=np.float64)
+                if values.shape not in ((bs.size, t_grid.size), t_grid.shape):
+                    raise ValueError(
+                        "objective must return one value per (B, t) sample, got "
+                        f"shape {values.shape} for {bs.size} B by {t_grid.size} t"
+                    )
+                values = np.broadcast_to(values, (bs.size, t_grid.size))
+                idx = np.argmax(values, axis=1)  # first maximum: smallest t wins exact ties
+                new_best = None
+                for j, (b, i) in enumerate(zip(bs.tolist(), idx.tolist())):
+                    point = BestPoint(m, k, lam, b, float(t_grid[i]), float(values[j, i]))
+                    points.append(point)
+                    if _better(point, best):
+                        best, new_best = point, j
+                if new_best is not None:  # keep one row, not the whole block
+                    best_row = values[new_best].copy()
     assert best is not None
 
-    runner_up = max(
-        (
-            res[0] if i != best_row else res[2]
-            for i, res in enumerate(row_results)
-        ),
-        default=float("-inf"),
-    )
+    second = float(np.partition(best_row, -2)[-2])
+    runner_up = max([second] + [p.F for p in points if p is not best])
     candidates = (best,)
     if n_candidates > 1:
-        candidates = _basin_candidates(
-            m, rows, row_results, t_grid, n_candidates, candidate_spacing
-        )
+        points.sort(key=lambda p: (-p.F,) + p.tie_key())
+        candidates = _basin_candidates(points, n_candidates, candidate_spacing)
     return OptResult(
         best=best,
-        evaluations=len(rows) * t_grid.size,
+        evaluations=len(points) * t_grid.size,
         refined=False,
         runner_up_gap=best.F - runner_up,
         candidates=candidates,
@@ -240,16 +237,11 @@ def grid_scan(
 
 
 def _basin_candidates(
-    m, rows, row_results, t_grid, n_candidates: int, spacing: float
+    ranked: list[BestPoint], n_candidates: int, spacing: float
 ) -> tuple[BestPoint, ...]:
-    """Top grid points, at most one per t-basin of each (k, lam) group."""
-    points = [
-        BestPoint(m, k, lam, b, float(t_grid[idx]), f)
-        for (k, lam, b), (f, idx, _second) in zip(rows, row_results)
-    ]
-    points.sort(key=lambda p: (-p.F,) + p.tie_key())
+    """Top ranked points, at most one per t-basin of each (k, lam) group."""
     chosen: list[BestPoint] = []
-    for point in points:
+    for point in ranked:
         if len(chosen) >= n_candidates:
             break
         clash = any(

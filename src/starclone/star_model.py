@@ -48,6 +48,8 @@ def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> None:
 
     M is an integer >= 1 and k an integer in [0, M], a bool being neither;
     lam and B are finite, and t is finite and >= 0, elementwise for arrays.
+    Every phase rate of the model is at most s = (M+1)(1 + |lam| + max|B|),
+    so t * s must be finite too, or a phase would overflow into a NaN.
     Python scalars skip numpy; an array t costs one min/max pass.
     """
     if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
@@ -64,6 +66,13 @@ def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> None:
         lo, hi = t.min(initial=0.0), t.max(initial=0.0)  # a NaN propagates into both
     if not (0.0 <= lo and hi < math.inf):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    b_max = abs(B) if isinstance(B, (float, int)) else np.abs(B).max(initial=0.0)
+    scale = (M + 1) * (1.0 + abs(lam) + float(b_max))
+    if not math.isfinite(float(hi) * scale):
+        raise ValueError(
+            f"the phase t * s overflows at t = {float(hi)!r}, "
+            f"s = (M+1)(1 + |lam| + max|B|) = {scale:.3g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -197,11 +206,16 @@ def _require_capacity(
         block_dim = math.comb(n_qubits, n_qubits // 2)
     # complex128: input, output and projection states; H, eigenvectors, eigh workspace
     need = 16 * (8 * (1 << n_qubits) + 4 * block_dim**2)
+    _require_memory(need, f"dense evolution of {n_qubits} qubits")
+
+
+def _require_memory(need: int, what: str) -> None:
+    """Raise CapacityError if ``need`` bytes exceed physical RAM."""
     ram = _physical_ram_bytes()
     if need > ram:
         gib = min(need, 2**1000) / 2**30  # exact ints; clipped so the float can't overflow
         raise CapacityError(
-            f"dense evolution of {n_qubits} qubits needs about {gib:.3g} GiB, "
+            f"{what} needs about {gib:.3g} GiB, "
             f"more than the {ram / 2**30:.3g} GiB of physical memory"
         )
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from starclone import cli
+from starclone import cli, star_model
 from starclone.verify import SUITE_NAMES, Check, SuiteResult
 
 
@@ -416,3 +416,46 @@ class TestPresetsCommand:
         with pytest.raises(SystemExit) as err:
             cli.main(["presets", "--m", "1"])
         assert err.value.code == 2
+
+
+class TestPhaseOverflowAndCapacity:
+    """Finite inputs whose phases overflow, or whose grids outgrow RAM, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--m", "2", "--k", "1", "--t", "1e308", "--method", "closed-form"],
+            ["fidelity", "--m", "8", "--k", "3", "--lambda", "3", "--b", "2", "--t", "1e308"],
+            ["scan", "--m", "2", "--k", "1", "--method", "closed-form",
+             "--sweep", "t=1e307:1e308:2"],
+            ["optimize", "--m", "2", "--t-range", "0", "1e308", "--n-t", "3", "--n-b", "2"],
+        ],
+        ids=["fidelity-closed-form", "fidelity-analytic", "scan", "optimize"],
+    )
+    def test_phase_overflow_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "overflows" in captured.err
+        assert "Traceback" not in captured.err
+        assert "nan" not in captured.out.lower()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--m", "2", "--n-t", "30001", "--no-refine"],
+            ["table1", "--m", "2", "--n-t", "30001", "--no-refine"],
+            ["scan", "--m", "2", "--k", "1", "--sweep", "t=0:1:100000"],
+            ["scan", "--m", "2", "--k", "1", "--sweep", "b=0:1:400", "--sweep", "t=0:1:400"],
+        ],
+        ids=["optimize", "table1", "scan-one-axis", "scan-two-axes"],
+    )
+    def test_oversized_grid_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(star_model, "_physical_ram_bytes", lambda: 1 << 20)
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "physical memory" in captured.err
+        assert captured.out == ""

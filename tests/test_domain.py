@@ -22,7 +22,9 @@ from starclone import (
     state_bound,
     xx_fidelity,
 )
-from starclone.cloning import bloch_amplitudes
+from starclone.cloning import bloch_amplitudes, make_clone_report
+from starclone.dynamics import amplitudes_from_brute_force, evolve_brute_force
+from starclone.hilbert import prepare_initial
 
 BAD_CALLS = {
     "xx_fidelity NaN field": lambda: xx_fidelity(3, 1, math.nan, 1.0),
@@ -103,3 +105,42 @@ def test_array_time_matches_closed_form():
         analytic = pcc_fidelity(evolve_analytic(params, k, times))
         closed = fidelity_closed_form(params.M, k, params.lam, params.B, times)
         assert np.abs(analytic - closed).max() < 1e-9
+
+
+OVERFLOW_T = 1e308
+OVERFLOW_ROUTES = {
+    "analytic": lambda: evolve_analytic(ModelParams(8, 3.0, 2.0), 3, OVERFLOW_T),
+    "analytic array": lambda: evolve_analytic(
+        ModelParams(2, 0.0, 0.0), 1, np.array([0.0, 1.0, OVERFLOW_T])
+    ),
+    "brute amplitudes": lambda: amplitudes_from_brute_force(
+        ModelParams(2, 0.5, 0.1), 1, OVERFLOW_T
+    ),
+    "brute evolution": lambda: evolve_brute_force(
+        ModelParams(2, 0.5, 0.1), prepare_initial(1, 0, 2, 1), OVERFLOW_T
+    ),
+    "closed form": lambda: fidelity_closed_form(2, 1, 0.0, 0.0, OVERFLOW_T),
+    "closed form B column": lambda: fidelity_closed_form(
+        4, 1, 0.7, np.array([[0.1], [0.2]]), np.array([0.0, OVERFLOW_T])
+    ),
+    "xx_fidelity": lambda: xx_fidelity(3, 1, 0.3, OVERFLOW_T),
+    "kM_fidelity": lambda: kM_fidelity(3, 0.5, 0.3, OVERFLOW_T),
+    "report closed-form": lambda: make_clone_report(
+        ModelParams(2, 0.0, 0.0), 1, OVERFLOW_T, method="closed-form"
+    ),
+    "report brute": lambda: make_clone_report(
+        ModelParams(2, 0.0, 0.0), 1, OVERFLOW_T, method="brute"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOW_ROUTES))
+def test_phase_overflow_raises_on_every_route(name):
+    """t = 1e308 is finite, but each route's phase t * rate overflows to a NaN."""
+    with pytest.raises(ValueError, match="overflows"):
+        OVERFLOW_ROUTES[name]()
+
+
+def test_phase_scale_accepts_large_finite_phases():
+    # t * s = 3e300 is finite: the check caps at overflow, not below it
+    assert 0.0 <= float(fidelity_closed_form(2, 1, 0.0, 0.0, 1e300)) <= 1.0

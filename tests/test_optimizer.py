@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from starclone.cloning import state_bound, xx_fidelity
+from starclone import optimizer, star_model
+from starclone.cloning import fidelity_closed_form, state_bound, xx_fidelity
+from starclone.errors import CapacityError
 from starclone.optimizer import (
     XX_REFERENCE_MAXIMA,
+    BestPoint,
     SearchBox,
     grid_scan,
     refine_local,
@@ -217,3 +220,99 @@ class TestReproduceTable:
             assert 0.0 <= t <= 300.0
             assert 0.01 <= b <= 1.0
             assert 0 <= k <= m
+
+
+def per_row_grid_scan(objective, box, m=None, n_candidates=1, spacing=0.5):
+    """Reference scan: one objective call per scalar-B row, ranked by the tie rule."""
+    t_grid = box.t_grid()
+    points, rows = [], []
+    for k in box.k_candidates:
+        for lam in box.lam_grid().tolist():
+            for b in box.b_grid().tolist():
+                values = np.asarray(objective(k, lam, b, t_grid), dtype=float)
+                idx = int(np.argmax(values))
+                points.append(BestPoint(m, k, lam, b, float(t_grid[idx]), float(values[idx])))
+                rows.append(values)
+    order = sorted(range(len(points)), key=lambda i: (-points[i].F,) + points[i].tie_key())
+    best = points[order[0]]
+    second = float(np.partition(rows[order[0]], -2)[-2])
+    runner_up = max([second] + [points[i].F for i in order[1:]])
+    chosen = []
+    for point in (points[i] for i in order):
+        if len(chosen) == n_candidates:
+            break
+        if not any(c.k == point.k and c.lam == point.lam and abs(c.t - point.t) < spacing
+                   for c in chosen):
+            chosen.append(point)
+    return best, tuple(chosen), best.F - runner_up, len(points) * t_grid.size
+
+
+class TestBlockContract:
+    """B rows reach the objective in blocks; the result equals a per-row scan."""
+
+    @pytest.mark.parametrize(
+        "m, lam, n_b, n_t",
+        [(3, 0.0, 23, 30001), (4, 0.7, 51, 2001), (4, 0.7, 13, 30001)],
+        ids=["xx-several-blocks", "xxz-one-block", "xxz-partial-block"],
+    )
+    def test_matches_per_row_reference(self, m, lam, n_b, n_t):
+        box = SearchBox(
+            b_range=(0.01, 1.0), t_range=(0.0, 20.0), lam=lam,
+            k_candidates=tuple(range(m + 1)), n_b=n_b, n_t=n_t,
+        )
+
+        def objective(k, lam_, b, t):
+            return fidelity_closed_form(m, k, lam_, b, t)
+
+        result = grid_scan(objective, box, m=m, n_candidates=4)
+        best, candidates, gap, evaluations = per_row_grid_scan(
+            objective, box, m=m, n_candidates=4
+        )
+        assert result.best == best
+        assert result.candidates == candidates
+        assert result.runner_up_gap == gap
+        assert result.evaluations == evaluations
+
+    def test_one_call_per_block(self):
+        box = SearchBox(
+            b_range=(0.01, 1.0), t_range=(0.0, 20.0), lam=(0.0, 1.0),
+            k_candidates=(0, 1), n_b=20, n_t=30001, n_lambda=3,
+        )
+        shapes = []
+
+        def counting(k, lam, b, t):
+            shapes.append(np.shape(b))
+            return xx_fidelity(2, k, b, t)
+
+        grid_scan(counting, box)
+        per_block = max(1, optimizer._BLOCK_ELEMENTS // box.n_t)
+        assert per_block < box.n_b
+        assert len(shapes) == 2 * 3 * math.ceil(box.n_b / per_block)
+        assert sum(shape[0] for shape in shapes) == 2 * 3 * box.n_b
+        assert all(shape[1:] == (1,) for shape in shapes)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda nb, nt: (nt + 1,), lambda nb, nt: (nb + 1, nt), lambda nb, nt: (nt, nb)],
+        ids=["short-row", "extra-row", "transposed"],
+    )
+    def test_wrong_shape_rejected(self, shape):
+        box = SearchBox(
+            b_range=(0.1, 0.9), t_range=(0.0, 1.0), k_candidates=(0,), n_b=4, n_t=9
+        )
+
+        def objective(k, lam, b, t):
+            return np.zeros(shape(np.size(b), np.size(t)))
+
+        with pytest.raises(ValueError, match="shape"):
+            grid_scan(objective, box)
+
+
+class TestGridCapacity:
+    def test_oversized_box_raises_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(star_model, "_physical_ram_bytes", lambda: 1 << 20)
+        SearchBox(k_candidates=(0, 1), n_b=11, n_t=201)
+        with pytest.raises(CapacityError):
+            SearchBox(k_candidates=(0,), n_b=11, n_t=30001)
+        with pytest.raises(CapacityError):
+            SearchBox(k_candidates=(0,), n_b=10**5, n_t=2)
