@@ -4,7 +4,16 @@ All times and fields are dimensionless (exchange coupling = 1).  Every
 subcommand accepts ``--config FILE`` holding either flat ``key=value``
 lines or a JSON object (for example a previously saved ``--format json``
 output); explicit flags win over config values.  Exit codes: 0 success,
-1 failed verification checks, 2 usage errors.
+1 failed verification checks, 2 usage errors (argparse's ``parser.error``),
+which include an unreadable ``--config`` and an unwritable ``--output``.
+
+Each command ``cmd_*`` builds one payload dict from the resolved option
+values: the object that ``--format json`` prints (for ``scan``, its CSV
+columns).  A ``text_*`` function formats that payload as the human lines.
+``main`` does the rest once: it resolves ``--model``/``--lambda``, turns
+``ValueError`` and ``CapacityError`` into usage errors, renders JSON or
+text to stdout or ``--output``, and exits 1 when the payload says
+``"passed": false``.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .cloning import (
+    _METHODS,
     fidelity_closed_form,
     make_clone_report,
     pcc_fidelity,
@@ -41,10 +51,8 @@ from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
 
 _MODELS = ("xx", "heisenberg", "xxz")
-_METHODS = ("analytic", "closed-form", "brute")
 _SWEEP_AXES = ("lambda", "b", "t")  # also the axis order of scan's fidelity array
 # scan's memory per CSV row: the fidelity array, three mesh copies, four
 # column lists and the row text (about 320 bytes measured with tracemalloc)
@@ -211,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(f"cannot read config {path!r}: {exc}")
     if text.lstrip().startswith("{"):
         try:
@@ -262,7 +270,7 @@ def _resolve_values(command: str, args: argparse.Namespace,
         for opt in opts:
             if opt.key in config:
                 merged[opt.key] = _convert_config_value(opt, config[opt.key], parser)
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "config", "suite")}
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     merged.update(given)
     for opt in opts:
         if opt.required and merged.get(opt.key) is None:
@@ -270,25 +278,18 @@ def _resolve_values(command: str, args: argparse.Namespace,
     return merged
 
 
-def _resolve_lambda(values: dict, parser: argparse.ArgumentParser) -> float:
+def _resolve_lambda(values: dict) -> float:
     model = values.get("model") or "xxz"
     lam = values.get("lambda")
     if model == "xx":
         if lam is not None and lam != 0.0:
-            parser.error("model 'xx' fixes lambda = 0; conflicting --lambda given")
+            raise ValueError("model 'xx' fixes lambda = 0; conflicting --lambda given")
         return 0.0
     if model == "heisenberg":
         if lam is not None and lam != 1.0:
-            parser.error("model 'heisenberg' fixes lambda = 1; conflicting --lambda given")
+            raise ValueError("model 'heisenberg' fixes lambda = 1; conflicting --lambda given")
         return 1.0
     return 0.0 if lam is None else float(lam)
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text + "\n")
-    else:
-        print(text)
 
 
 def _complex_json(z: complex) -> dict:
@@ -299,342 +300,299 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def cmd_fidelity(values: dict, parser: argparse.ArgumentParser) -> int:
-    lam = _resolve_lambda(values, parser)
-    try:
-        params = ModelParams(values["m"], lam, values["b"])
-        report = make_clone_report(
-            params, values["k"], values["t"], theta=values["theta"],
-            phi=values["phi"], method=values["method"],
-            max_qubits=values["max_qubits"],
-        )
-    except (ValueError, CapacityError) as exc:
-        parser.error(str(exc))
+def cmd_fidelity(values: dict) -> dict:
+    params = ModelParams(values["m"], values["lambda"], values["b"])
+    report = make_clone_report(
+        params, values["k"], values["t"], theta=values["theta"],
+        phi=values["phi"], method=values["method"],
+        max_qubits=values["max_qubits"],
+    )
     amp = report.amplitudes
-    if values["format"] == "json":
-        payload = {
-            "command": "fidelity",
-            "m": values["m"],
-            "k": values["k"],
-            "model": values.get("model") or "xxz",
-            "lambda": lam,
-            "b": params.B,
-            "t": report.t,
-            "theta": report.theta,
-            "phi": report.phi,
-            "method": report.method,
-            "max_qubits": values["max_qubits"],
-            "fidelity": report.input_fidelity,
-            "equatorial_fidelity": report.equatorial_fidelity,
-            "per_qubit_fidelities": list(report.per_qubit_fidelities),
-            "amplitudes": {
-                "f1": _complex_json(amp.f1),
-                "f2": _complex_json(amp.f2),
-                "g1": _complex_json(amp.g1),
-                "g2": _complex_json(amp.g2),
-            },
-        }
-        _emit(json.dumps(payload, indent=2), values["output"])
-        return EXIT_OK
+    return {
+        "command": "fidelity",
+        "m": values["m"],
+        "k": values["k"],
+        "model": values.get("model") or "xxz",
+        "lambda": values["lambda"],
+        "b": params.B,
+        "t": report.t,
+        "theta": report.theta,
+        "phi": report.phi,
+        "method": report.method,
+        "max_qubits": values["max_qubits"],
+        "fidelity": report.input_fidelity,
+        "equatorial_fidelity": report.equatorial_fidelity,
+        "per_qubit_fidelities": list(report.per_qubit_fidelities),
+        "amplitudes": {name: _complex_json(getattr(amp, name))
+                       for name in ("f1", "f2", "g1", "g2")},
+    }
+
+
+def text_fidelity(p: dict) -> list[str]:
     lines = [
-        f"M = {values['m']}  k = {values['k']}  lambda = {_fmt(lam)}  "
-        f"B = {_fmt(params.B)}  t = {_fmt(report.t)}",
-        f"method = {report.method}  theta = {_fmt(report.theta)}  "
-        f"phi = {_fmt(report.phi)}",
-        f"fidelity (input state)  = {_fmt(report.input_fidelity)}",
-        f"fidelity (equatorial)   = {_fmt(report.equatorial_fidelity)}",
+        f"M = {p['m']}  k = {p['k']}  lambda = {_fmt(p['lambda'])}  "
+        f"B = {_fmt(p['b'])}  t = {_fmt(p['t'])}",
+        f"method = {p['method']}  theta = {_fmt(p['theta'])}  phi = {_fmt(p['phi'])}",
+        f"fidelity (input state)  = {_fmt(p['fidelity'])}",
+        f"fidelity (equatorial)   = {_fmt(p['equatorial_fidelity'])}",
         "per-qubit fidelities:",
     ]
-    for q, f in enumerate(report.per_qubit_fidelities):
+    for q, f in enumerate(p["per_qubit_fidelities"]):
         role = "central" if q == 0 else f"outer {q}"
         lines.append(f"  qubit {q} ({role}): {_fmt(f)}")
-    lines.append(
-        "amplitudes: "
-        f"f1 = {amp.f1:.12g}, f2 = {amp.f2:.12g}, "
-        f"g1 = {amp.g1:.12g}, g2 = {amp.g2:.12g}"
-    )
-    _emit("\n".join(lines), values["output"])
-    return EXIT_OK
+    lines.append("amplitudes: " + ", ".join(  # complex(re, im) is exact
+        f"{name} = {complex(z['re'], z['im']):.12g}" for name, z in p["amplitudes"].items()))
+    return lines
 
 
-def cmd_optimize(values: dict, parser: argparse.ArgumentParser) -> int:
-    lam = _resolve_lambda(values, parser)
-    m = values["m"]
+def cmd_optimize(values: dict) -> dict:
+    m, lam = values["m"], values["lambda"]
     ks = tuple(values["k"] or range(m + 1))
 
     def objective(k, lam_, b, t):
         return fidelity_closed_form(m, k, lam_, b, t)
 
-    try:
-        for k in ks:
-            _require_point(m, k)
-        box = SearchBox(
-            b_range=tuple(values["b_range"]),
-            t_range=tuple(values["t_range"]),
-            lam=lam,
-            k_candidates=ks,
-            n_b=values["n_b"],
-            n_t=values["n_t"],
-            refine_iters=values["refine_iters"],
-            refine_tol=values["refine_tol"],
-        )
-        if values["refine"]:
-            result = scan_and_refine(objective, box, m=m,
-                                     n_candidates=values["candidates"])
-        else:
-            result = grid_scan(objective, box, m=m)
-    except (ValueError, CapacityError) as exc:
-        parser.error(str(exc))
+    for k in ks:
+        _require_point(m, k)
+    box = SearchBox(
+        b_range=tuple(values["b_range"]),
+        t_range=tuple(values["t_range"]),
+        lam=lam,
+        k_candidates=ks,
+        n_b=values["n_b"],
+        n_t=values["n_t"],
+        refine_iters=values["refine_iters"],
+        refine_tol=values["refine_tol"],
+    )
+    if values["refine"]:
+        result = scan_and_refine(objective, box, m=m, n_candidates=values["candidates"])
+    else:
+        result = grid_scan(objective, box, m=m)
     best = result.best
-    if values["format"] == "json":
-        payload = {
-            "command": "optimize",
-            "m": m,
-            "k": list(ks),
-            "model": values.get("model") or "xxz",
-            "lambda": lam,
-            "b_range": list(box.b_range),
-            "t_range": list(box.t_range),
-            "n_b": box.n_b,
-            "n_t": box.n_t,
-            "refine": values["refine"],
-            "refine_iters": box.refine_iters,
-            "refine_tol": box.refine_tol,
-            "candidates": values["candidates"],
-            "best": {
-                "m": best.M,
-                "k": best.k,
-                "lambda": best.lam,
-                "b": best.B,
-                "t": best.t,
-                "fidelity": best.F,
-            },
-            "evaluations": result.evaluations,
-            "refined": result.refined,
-            "runner_up_gap": result.runner_up_gap,
-        }
-        _emit(json.dumps(payload, indent=2), values["output"])
-        return EXIT_OK
-    lines = [
-        f"searched {result.evaluations} grid points "
-        f"(refined basins: {'yes' if result.refined else 'no'})",
-        f"best: M = {best.M}  k = {best.k}  lambda = {_fmt(best.lam)}  "
-        f"B = {_fmt(best.B)}  t = {_fmt(best.t)}",
-        f"fidelity = {_fmt(best.F)}",
-        f"runner-up gap = {_fmt(result.runner_up_gap)}",
+    return {
+        "command": "optimize",
+        "m": m,
+        "k": list(ks),
+        "model": values.get("model") or "xxz",
+        "lambda": lam,
+        "b_range": list(box.b_range),
+        "t_range": list(box.t_range),
+        "n_b": box.n_b,
+        "n_t": box.n_t,
+        "refine": values["refine"],
+        "refine_iters": box.refine_iters,
+        "refine_tol": box.refine_tol,
+        "candidates": values["candidates"],
+        "best": {"m": best.M, "k": best.k, "lambda": best.lam, "b": best.B,
+                 "t": best.t, "fidelity": best.F},
+        "evaluations": result.evaluations,
+        "refined": result.refined,
+        "runner_up_gap": result.runner_up_gap,
+    }
+
+
+def text_optimize(p: dict) -> list[str]:
+    best = p["best"]
+    return [
+        f"searched {p['evaluations']} grid points "
+        f"(refined basins: {'yes' if p['refined'] else 'no'})",
+        f"best: M = {best['m']}  k = {best['k']}  lambda = {_fmt(best['lambda'])}  "
+        f"B = {_fmt(best['b'])}  t = {_fmt(best['t'])}",
+        f"fidelity = {_fmt(best['fidelity'])}",
+        f"runner-up gap = {_fmt(p['runner_up_gap'])}",
     ]
-    _emit("\n".join(lines), values["output"])
-    return EXIT_OK
 
 
-def cmd_table1(values: dict, parser: argparse.ArgumentParser) -> int:
-    ms = values["m"]
-    ms = tuple(range(2, 9)) if not ms else tuple(int(m) for m in ms)
-    try:
-        rows = reproduce_table1(ms=ms, n_b=values["n_b"], n_t=values["n_t"],
-                                refine=values["refine"])
-    except (ValueError, CapacityError) as exc:
-        parser.error(str(exc))
-    if values["format"] == "json":
-        payload = {
-            "command": "table1",
-            "m": list(ms),
-            "n_b": values["n_b"],
-            "n_t": values["n_t"],
-            "refine": values["refine"],
-            "rows": [
-                {
-                    "m": row.M,
-                    "k": row.k,
-                    "b": row.B,
-                    "t": row.t,
-                    "f_max": row.f_max,
-                    "f_optimal": row.f_optimal,
-                    "f_reference": row.f_reference,
-                    "deviation": row.deviation,
-                    "flagged": row.flagged,
-                }
-                for row in rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), values["output"])
-        return EXIT_OK
+def cmd_table1(values: dict) -> dict:
+    ms = tuple(int(m) for m in values["m"] or range(2, 9))
+    rows = reproduce_table1(ms=ms, n_b=values["n_b"], n_t=values["n_t"],
+                            refine=values["refine"])
+    return {
+        "command": "table1",
+        "m": list(ms),
+        "n_b": values["n_b"],
+        "n_t": values["n_t"],
+        "refine": values["refine"],
+        "rows": [
+            {"m": row.M, "k": row.k, "b": row.B, "t": row.t, "f_max": row.f_max,
+             "f_optimal": row.f_optimal, "f_reference": row.f_reference,
+             "deviation": row.deviation, "flagged": row.flagged}
+            for row in rows
+        ],
+    }
+
+
+def text_table1(p: dict) -> list[str]:
     header = (
         f"{'M':>2} {'F_optimal':>11} {'F_max':>11} {'t':>12} {'B':>11} "
         f"{'k':>2} {'F_reference':>12} {'status':>8}"
     )
     lines = [header, "-" * len(header)]
-    for row in rows:
-        status = "flagged" if row.flagged else "ok"
+    for row in p["rows"]:
+        status = "flagged" if row["flagged"] else "ok"
         lines.append(
-            f"{row.M:>2} {row.f_optimal:>11.6f} {row.f_max:>11.6f} "
-            f"{row.t:>12.5f} {row.B:>11.7f} {row.k:>2} "
-            f"{row.f_reference:>12.6f} {status:>8}"
+            f"{row['m']:>2} {row['f_optimal']:>11.6f} {row['f_max']:>11.6f} "
+            f"{row['t']:>12.5f} {row['b']:>11.7f} {row['k']:>2} "
+            f"{row['f_reference']:>12.6f} {status:>8}"
         )
-    lines.append(
-        "flagged = found maximum differs from the stored reference by more "
-        "than 1e-4"
+    lines.append("flagged = found maximum differs from the stored reference by more than 1e-4")
+    return lines
+
+
+def cmd_verify(values: dict) -> dict:
+    result = run_suite(values["suite"], seed=values["seed"], trials=values["trials"])
+    return {
+        "command": "verify",
+        "suite": values["suite"],
+        "seed": values["seed"],
+        "trials": values["trials"],
+        "passed": result.passed,
+        "checks": [
+            {"label": check.label, "residual": check.residual,
+             "tolerance": check.tolerance, "passed": check.passed}
+            for check in result.checks
+        ],
+    }
+
+
+def text_verify(p: dict) -> list[str]:
+    lines = [
+        f"[{'PASS' if check['passed'] else 'FAIL'}] {check['label']}: "
+        f"residual = {check['residual']:.3e} (tolerance {check['tolerance']:.1e})"
+        for check in p["checks"]
+    ]
+    failed = sum(not check["passed"] for check in p["checks"])
+    verdict = "all checks passed" if p["passed"] else (
+        f"{failed} of {len(p['checks'])} checks FAILED"
     )
-    _emit("\n".join(lines), values["output"])
-    return EXIT_OK
+    lines.append(f"suite '{p['suite']}' (seed {p['seed']}): {verdict}")
+    return lines
 
 
-def cmd_verify(values: dict, parser: argparse.ArgumentParser, suite: str) -> int:
-    try:
-        result = run_suite(suite, seed=values["seed"], trials=values["trials"])
-    except ValueError as exc:
-        parser.error(str(exc))
-    if values["format"] == "json":
-        payload = {
-            "command": "verify",
-            "suite": suite,
-            "seed": values["seed"],
-            "trials": values["trials"],
-            "passed": result.passed,
-            "checks": [
-                {
-                    "label": check.label,
-                    "residual": check.residual,
-                    "tolerance": check.tolerance,
-                    "passed": check.passed,
-                }
-                for check in result.checks
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), values["output"])
-        return EXIT_OK if result.passed else EXIT_CHECK_FAILED
-    lines = []
-    for check in result.checks:
-        marker = "PASS" if check.passed else "FAIL"
-        lines.append(
-            f"[{marker}] {check.label}: residual = {check.residual:.3e} "
-            f"(tolerance {check.tolerance:.1e})"
-        )
-    verdict = "all checks passed" if result.passed else (
-        f"{len(result.failures())} of {len(result.checks)} checks FAILED"
-    )
-    lines.append(f"suite '{suite}' (seed {values['seed']}): {verdict}")
-    _emit("\n".join(lines), values["output"])
-    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
-
-
-def _parse_sweep(text: str, parser: argparse.ArgumentParser):
+def _parse_sweep(text: str):
     """(axis, (lo, hi, count)) of one AXIS=LO:HI:N sweep, nothing allocated."""
     try:
         axis, _, rest = text.partition("=")
         lo, hi, count = rest.split(":")
         axis, lo, hi, count = axis.strip().lower(), float(lo), float(hi), int(count)
     except ValueError:
-        parser.error(f"bad sweep axis {text!r}; expected AXIS=LO:HI:N")
+        raise ValueError(f"bad sweep axis {text!r}; expected AXIS=LO:HI:N") from None
     if axis not in _SWEEP_AXES:
-        parser.error(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
+        raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
     if count < 1:
-        parser.error("sweep point count must be >= 1")
+        raise ValueError("sweep point count must be >= 1")
     return axis, (lo, hi, count)
 
 
-def cmd_scan(values: dict, parser: argparse.ArgumentParser) -> int:
-    lam = _resolve_lambda(values, parser)
+def cmd_scan(values: dict) -> dict:
+    """The CSV columns of a scan, one entry per row."""
     sweeps_raw = values["sweep"] or []
     if not 1 <= len(sweeps_raw) <= 2:
-        parser.error("scan needs one or two --sweep axes")
-    sweeps = [_parse_sweep(entry, parser) for entry in sweeps_raw]
+        raise ValueError("scan needs one or two --sweep axes")
+    sweeps = [_parse_sweep(entry) for entry in sweeps_raw]
     if len(sweeps) == 2 and sweeps[0][0] == sweeps[1][0]:
-        parser.error("the two sweep axes must differ")
+        raise ValueError("the two sweep axes must differ")
     if any(axis == "lambda" for axis, _ in sweeps) and values.get("model") in (
         "xx", "heisenberg",
     ):
-        parser.error("cannot sweep lambda while the model shorthand fixes it")
+        raise ValueError("cannot sweep lambda while the model shorthand fixes it")
     m, k, method = values["m"], values["k"], values["method"]
     n_rows = math.prod(count for _, (_, _, count) in sweeps)
-    try:  # one route call per (lambda, B) pair, t innermost
-        _require_memory(_SCAN_BYTES_PER_ROW * n_rows, f"a scan of {n_rows} rows")
-        grids = {"lambda": [lam], "b": [values["b"]], "t": [values["t"]],
-                 **{axis: np.linspace(*spec) for axis, spec in sweeps}}
-        lams, bs, ts = (np.asarray(grids[axis], dtype=np.float64) for axis in _SWEEP_AXES)
-        fidelity = np.empty((lams.size, bs.size, ts.size))
-        for i, lam_ in enumerate(lams.tolist()):
-            for j, b in enumerate(bs.tolist()):
-                params = ModelParams(m, lam_, b)
-                if method == "closed-form":
-                    fidelity[i, j] = fidelity_closed_form(m, k, lam_, b, ts)
-                elif method == "analytic":
-                    fidelity[i, j] = pcc_fidelity(evolve_analytic(params, k, ts))
-                else:
-                    fidelity[i, j] = [pcc_fidelity(amplitudes_from_brute_force(
-                        params, k, t, values["max_qubits"])) for t in ts.tolist()]
-    except (ValueError, CapacityError) as exc:
-        parser.error(str(exc))
+    _require_memory(_SCAN_BYTES_PER_ROW * n_rows, f"a scan of {n_rows} rows")
+    # one route call per (lambda, B) pair, t innermost
+    grids = {"lambda": [values["lambda"]], "b": [values["b"]], "t": [values["t"]],
+             **{axis: np.linspace(*spec) for axis, spec in sweeps}}
+    lams, bs, ts = (np.asarray(grids[axis], dtype=np.float64) for axis in _SWEEP_AXES)
+    fidelity = np.empty((lams.size, bs.size, ts.size))
+    for i, lam_ in enumerate(lams.tolist()):
+        for j, b in enumerate(bs.tolist()):
+            params = ModelParams(m, lam_, b)
+            if method == "closed-form":
+                fidelity[i, j] = fidelity_closed_form(m, k, lam_, b, ts)
+            elif method == "analytic":
+                fidelity[i, j] = pcc_fidelity(evolve_analytic(params, k, ts))
+            else:
+                fidelity[i, j] = [pcc_fidelity(amplitudes_from_brute_force(
+                    params, k, t, values["max_qubits"])) for t in ts.tolist()]
     # rows run over the sweep axes, the first one outermost
     swept = [_SWEEP_AXES.index(axis) for axis, _ in sweeps]
     mesh = (*np.meshgrid(lams, bs, ts, indexing="ij"), fidelity)
     columns = [np.moveaxis(a, swept, range(len(swept))).ravel().tolist() for a in mesh]
-    lines = ["M,k,lambda,B,t,fidelity,method"] + [
-        f"{m},{k},{lam_:.12g},{b:.12g},{t:.12g},{f:.12g},{method}"
-        for lam_, b, t, f in zip(*columns)]
-    _emit("\n".join(lines), values["output"])
-    return EXIT_OK
+    return {"M": m, "k": k, **dict(zip(("lambda", "B", "t", "fidelity"), columns)),
+            "method": method}
 
 
-def cmd_presets(values: dict, parser: argparse.ArgumentParser) -> int:
+def text_scan(p: dict) -> list[str]:
+    m, k, method = p["M"], p["k"], p["method"]
+    return ["M,k,lambda,B,t,fidelity,method"] + [
+        f"{m},{k},{lam:.12g},{b:.12g},{t:.12g},{f:.12g},{method}"
+        for lam, b, t, f in zip(p["lambda"], p["B"], p["t"], p["fidelity"])]
+
+
+def cmd_presets(values: dict) -> dict:
     m = values["m"]
     if m < 2:
-        parser.error("presets need M >= 2")
+        raise ValueError("presets need M >= 2")
     presets = [preset_optimal(m)]
     if m % 2 == 0:
         presets.append(preset_ancilla_free(m))
     presets.append(preset_k_equals_m(m))
     presets.append(universal_preset())
-    if values["format"] == "json":
-        payload = {
-            "command": "presets",
-            "m": m,
-            "presets": [
-                {
-                    "name": preset.name,
-                    "m": preset.M,
-                    "k": preset.k,
-                    "lambda": preset.lam,
-                    "b": preset.B,
-                    "t": preset.t,
-                    "fidelity": preset.fidelity,
-                    "copies": preset.copies,
-                }
-                for preset in presets
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), values["output"])
-        return EXIT_OK
-    lines = []
-    for preset in presets:
-        lines.append(
-            f"{preset.name}: M = {preset.M}, k = {preset.k}, "
-            f"lambda = {_fmt(preset.lam)}, B = {_fmt(preset.B)}, "
-            f"t = {_fmt(preset.t)}, fidelity = {_fmt(preset.fidelity)}, "
-            f"copies = {preset.copies}"
-        )
-    _emit("\n".join(lines), values["output"])
-    return EXIT_OK
+    return {
+        "command": "presets",
+        "m": m,
+        "presets": [
+            {"name": preset.name, "m": preset.M, "k": preset.k, "lambda": preset.lam,
+             "b": preset.B, "t": preset.t, "fidelity": preset.fidelity,
+             "copies": preset.copies}
+            for preset in presets
+        ],
+    }
+
+
+def text_presets(p: dict) -> list[str]:
+    return [
+        f"{preset['name']}: M = {preset['m']}, k = {preset['k']}, "
+        f"lambda = {_fmt(preset['lambda'])}, B = {_fmt(preset['b'])}, "
+        f"t = {_fmt(preset['t'])}, fidelity = {_fmt(preset['fidelity'])}, "
+        f"copies = {preset['copies']}"
+        for preset in p["presets"]
+    ]
+
+
+# command -> (build the payload from resolved values, format it as text lines)
+_COMMANDS = {
+    "fidelity": (cmd_fidelity, text_fidelity),
+    "optimize": (cmd_optimize, text_optimize),
+    "table1": (cmd_table1, text_table1),
+    "verify": (cmd_verify, text_verify),
+    "scan": (cmd_scan, text_scan),
+    "presets": (cmd_presets, text_presets),
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     values = _resolve_values(args.command, args, parser)
-    if args.command == "fidelity":
-        return cmd_fidelity(values, parser)
-    if args.command == "optimize":
-        return cmd_optimize(values, parser)
-    if args.command == "table1":
-        return cmd_table1(values, parser)
-    if args.command == "verify":
-        return cmd_verify(values, parser, args.suite)
-    if args.command == "scan":
-        return cmd_scan(values, parser)
-    if args.command == "presets":
-        return cmd_presets(values, parser)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    build, text = _COMMANDS[args.command]
+    try:
+        if "model" in values:
+            values["lambda"] = _resolve_lambda(values)
+        payload = build(values)
+    except (ValueError, CapacityError) as exc:
+        parser.error(str(exc))
+    rendered = (json.dumps(payload, indent=2) if values.get("format") == "json"
+                else "\n".join(text(payload)))
+    output = values["output"]
+    if not output:
+        print(rendered)
+    else:
+        try:
+            Path(output).write_text(rendered + "\n")
+        except OSError as exc:
+            parser.error(f"cannot write output {output!r}: {exc}")
+    return EXIT_CHECK_FAILED if payload.get("passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

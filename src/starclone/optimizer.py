@@ -61,6 +61,9 @@ _REFERENCE_FLAG_TOL = 1e-4
 # Grid values per objective call: 8 B rows of the 30,001-point paper t grid.
 _BLOCK_ELEMENTS = 2**18
 
+# Smallest t separation of two refinement candidates of one (k, lam).
+_CANDIDATE_SPACING = 0.5
+
 
 def worker_count() -> int:
     """Worker count from STARCLONE_WORKERS, else the CPU count.
@@ -186,14 +189,15 @@ def grid_scan(
     box: SearchBox,
     m: int | None = None,
     n_candidates: int = 1,
-    candidate_spacing: float = 0.5,
 ) -> OptResult:
     """Exhaustive evaluation of the box grid with a deterministic argmax.
 
     ``n_candidates`` > 1 additionally returns the best grid points of up to
-    that many separate time basins per (k, lam) (at least
-    ``candidate_spacing`` apart in t), for multi-start refinement.
+    that many separate time basins per (k, lam) (at least 0.5 apart in t),
+    for multi-start refinement.  ``n_candidates`` < 1 raises ValueError.
     """
+    if n_candidates < 1:
+        raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
     t_grid = box.t_grid()
     b_grid = box.b_grid()
     per_block = max(1, _BLOCK_ELEMENTS // t_grid.size)
@@ -226,7 +230,7 @@ def grid_scan(
     candidates = (best,)
     if n_candidates > 1:
         points.sort(key=lambda p: (-p.F,) + p.tie_key())
-        candidates = _basin_candidates(points, n_candidates, candidate_spacing)
+        candidates = _basin_candidates(points, n_candidates)
     return OptResult(
         best=best,
         evaluations=len(points) * t_grid.size,
@@ -236,16 +240,14 @@ def grid_scan(
     )
 
 
-def _basin_candidates(
-    ranked: list[BestPoint], n_candidates: int, spacing: float
-) -> tuple[BestPoint, ...]:
+def _basin_candidates(ranked: list[BestPoint], n_candidates: int) -> tuple[BestPoint, ...]:
     """Top ranked points, at most one per t-basin of each (k, lam) group."""
     chosen: list[BestPoint] = []
     for point in ranked:
         if len(chosen) >= n_candidates:
             break
         clash = any(
-            c.k == point.k and c.lam == point.lam and abs(c.t - point.t) < spacing
+            c.k == point.k and c.lam == point.lam and abs(c.t - point.t) < _CANDIDATE_SPACING
             for c in chosen
         )
         if not clash:

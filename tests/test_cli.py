@@ -459,3 +459,81 @@ class TestPhaseOverflowAndCapacity:
         assert err.value.code == 2
         assert "physical memory" in captured.err
         assert captured.out == ""
+
+
+class TestRenderPath:
+    """main renders every payload once: to stdout, or to --output instead."""
+
+    FORMATTED = (
+        ["fidelity", "--m", "3", "--k", "1", "--lambda", "1.5", "--b", "0.3", "--t", "2.5"],
+        ["optimize", "--m", "2", "--model", "xx", "--t-range", "0", "5",
+         "--n-b", "11", "--n-t", "101"],
+        ["table1", "--m", "2", "--n-b", "11", "--n-t", "301"],
+        ["verify", "universal", "--trials", "3"],
+        ["presets", "--m", "4"],
+    )
+    CASES = [(argv, fmt) for argv in FORMATTED for fmt in ("human", "json")] + [
+        (["scan", "--m", "2", "--k", "0", "--model", "xx", "--sweep", "t=0:1:5"], None)]
+
+    @pytest.mark.parametrize(
+        "argv, fmt", CASES, ids=[f"{argv[0]}-{fmt or 'csv'}" for argv, fmt in CASES])
+    def test_output_file_holds_exactly_stdout(self, capsys, tmp_path, argv, fmt):
+        argv = argv + (["--format", fmt] if fmt else [])
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "out.txt"
+        code, printed = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert printed == ""
+        assert target.read_text() == out
+
+    def test_failing_suite_json_exits_1(self, capsys, monkeypatch):
+        failing = SuiteResult(
+            "universal", 0, (Check("synthetic failing check", 1.0, 1e-10),)
+        )
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: failing)
+        code, payload = run_json(capsys, "verify", "universal")
+        assert code == 1
+        assert payload["passed"] is False
+        assert payload["checks"][0]["passed"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--m", "2", "--k", "1", "--t", "1"],
+            ["scan", "--m", "2", "--k", "0", "--sweep", "t=0:1:3"],
+        ],
+        ids=["fidelity", "scan"],
+    )
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv, where):
+        target = tmp_path / "missing" / "x.txt" if where == "missing-dir" else tmp_path
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--output", str(target)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "cannot write output" in captured.err
+        assert "Traceback" not in captured.err
+
+
+class TestUnreadableInputs:
+    """An undecodable config file and a count below one exit 2, not 1 with a traceback."""
+
+    def test_undecodable_config_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"m=4\n\xff\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["presets", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "cannot read config" in captured.err
+
+    @pytest.mark.parametrize("candidates", ["0", "-3"])
+    def test_candidates_below_one_exits_2(self, capsys, candidates):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["optimize", "--m", "2", "--model", "xx", "--t-range", "0", "5",
+                      "--n-b", "11", "--n-t", "101", "--candidates", candidates])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "n_candidates" in captured.err
+        assert captured.out == ""

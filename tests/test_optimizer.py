@@ -308,6 +308,23 @@ class TestBlockContract:
             grid_scan(objective, box)
 
 
+class TestCandidateCount:
+    @pytest.mark.parametrize("n_candidates", [0, -3])
+    def test_below_one_rejected_before_scanning(self, n_candidates):
+        box = SearchBox(t_range=(0.0, 1.0), k_candidates=(0,), n_b=3, n_t=5)
+        calls = []
+
+        def objective(k, lam, b, t):
+            calls.append(k)
+            return xx_fidelity(2, k, b, t)
+
+        with pytest.raises(ValueError, match="n_candidates"):
+            grid_scan(objective, box, m=2, n_candidates=n_candidates)
+        with pytest.raises(ValueError, match="n_candidates"):
+            scan_and_refine(objective, box, m=2, n_candidates=n_candidates)
+        assert calls == []
+
+
 class TestGridCapacity:
     def test_oversized_box_raises_before_allocation(self, monkeypatch):
         monkeypatch.setattr(star_model, "_physical_ram_bytes", lambda: 1 << 20)
