@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .errors import CapacityError, FormulaInconsistencyError, OracleInconsistencyError
 from .hilbert import (
-    DickeState,
     QubitDensityMatrix,
     StateVector,
     dicke_state,
@@ -57,15 +56,9 @@ from .optimizer import (
 )
 from .star_model import (
     DEFAULT_MAX_QUBITS,
-    BlockEigensystem,
-    EdgeState,
     FullHamiltonian,
     ModelParams,
-    SectorBlock,
-    block_eigensystem,
     build_full_hamiltonian,
-    edge_eigenstate,
-    sector_block,
 )
 from .verify import Check, SuiteResult, SUITE_NAMES, run_suite
 
@@ -73,7 +66,6 @@ __all__ = [
     "__version__",
     # hilbert
     "StateVector",
-    "DickeState",
     "QubitDensityMatrix",
     "dicke_state",
     "prepare_initial",
@@ -83,13 +75,7 @@ __all__ = [
     "DEFAULT_MAX_QUBITS",
     "ModelParams",
     "FullHamiltonian",
-    "SectorBlock",
-    "BlockEigensystem",
-    "EdgeState",
     "build_full_hamiltonian",
-    "sector_block",
-    "block_eigensystem",
-    "edge_eigenstate",
     # dynamics
     "BlockAmplitudes",
     "evolve_analytic",

@@ -3,9 +3,12 @@
 All times and fields are dimensionless (exchange coupling = 1).  Every
 subcommand accepts ``--config FILE`` holding either flat ``key=value``
 lines or a JSON object (for example a previously saved ``--format json``
-output); explicit flags win over config values.  Exit codes: 0 success,
-1 failed verification checks, 2 usage errors (argparse's ``parser.error``),
-which include an unreadable ``--config`` and an unwritable ``--output``.
+output); explicit flags win over config values.  Each config value is
+spelled as its flag and parsed by the same argparse parser, so it is checked
+exactly like that flag; a JSON null leaves the option unset.  Exit codes:
+0 success, 1 failed verification checks, 2 usage errors (argparse's
+``parser.error``), which include an unreadable ``--config`` and an
+unwritable ``--output``.
 
 Each command ``cmd_*`` builds one payload dict from the resolved option
 values: the object that ``--format json`` prints (for ``scan``, its CSV
@@ -60,9 +63,7 @@ _SCAN_BYTES_PER_ROW = 400
 
 
 def _parse_bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
+    text = str(raw).strip().lower()  # str(True) is "True"
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
@@ -127,7 +128,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
              help="time box: LO HI"),
         _Opt("n_b", "--n-b", int, 201, help="field grid points"),
         _Opt("n_t", "--n-t", int, 30001, help="time grid points"),
-        _Opt("refine", "--refine", _parse_bool, True, boolean=True,
+        _Opt("refine", "--refine", default=True, boolean=True,
              help="refine leading basins with a local simplex"),
         _Opt("refine_iters", "--refine-iters", int, 400,
              help="refinement iteration cap"),
@@ -142,7 +143,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
              help="network sizes (default: 2..8)"),
         _Opt("n_b", "--n-b", int, 201, help="field grid points"),
         _Opt("n_t", "--n-t", int, 30001, help="time grid points"),
-        _Opt("refine", "--refine", _parse_bool, True, boolean=True,
+        _Opt("refine", "--refine", default=True, boolean=True,
              help="refine leading basins with a local simplex"),
         *_COMMON_OUT,
     ),
@@ -241,22 +242,17 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
     return values
 
 
-def _convert_config_value(opt: _Opt, raw, parser: argparse.ArgumentParser):
-    try:
-        if raw is None:
-            return None
-        if opt.append:
-            items = raw if isinstance(raw, list) else str(raw).split(",")
-            return [opt.convert(item) for item in items]
-        if opt.nargs is not None:
-            items = raw if isinstance(raw, (list, tuple)) else str(raw).replace(",", " ").split()
-            return [opt.convert(item) for item in items]
-        value = opt.convert(raw)
-        if opt.choices and value not in opt.choices:
-            raise ValueError(f"must be one of {', '.join(opt.choices)}")
-        return value
-    except (TypeError, ValueError) as exc:
-        parser.error(f"config key {opt.key!r}: {exc}")
+def _config_argv(opt: _Opt, raw) -> list[str]:
+    """A config value spelled as its flag; flat lists split at commas (or spaces)."""
+    if opt.boolean:
+        return [opt.flag if _parse_bool(raw) else "--no-" + opt.flag[2:]]
+    if opt.append:
+        return [f"{opt.flag}={item}" for item in
+                (raw if isinstance(raw, list) else str(raw).split(","))]
+    if opt.nargs is None:
+        return [f"{opt.flag}={raw}"]
+    items = raw if isinstance(raw, list) else str(raw).replace(",", " ").split()
+    return [opt.flag, *map(str, items)]
 
 
 def _resolve_values(command: str, args: argparse.Namespace,
@@ -264,14 +260,18 @@ def _resolve_values(command: str, args: argparse.Namespace,
     """defaults <- config file <- explicit flags, then required checks."""
     opts = _OPTIONS[command]
     merged = {opt.key: opt.default for opt in opts}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        config = _load_config(config_path, parser)
-        for opt in opts:
-            if opt.key in config:
-                merged[opt.key] = _convert_config_value(opt, config[opt.key], parser)
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    merged.update(given)
+    if args.config:
+        config = _load_config(args.config, parser)
+        argv = [command, args.suite] if command == "verify" else [command]
+        try:
+            for opt in opts:
+                if config.get(opt.key) is not None:
+                    argv += _config_argv(opt, config[opt.key])
+        except ValueError as exc:  # an unreadable boolean
+            parser.error(f"config key {opt.key!r}: {exc}")
+        merged.update(vars(parser.parse_args(argv)))
+    merged.update(vars(args))
+    del merged["command"], merged["config"]
     for opt in opts:
         if opt.required and merged.get(opt.key) is None:
             parser.error(f"missing required option {opt.flag} (or config key {opt.key!r})")

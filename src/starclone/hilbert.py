@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormulaInconsistencyError
+from .star_model import _require_point
 
 __all__ = [
     "StateVector",
-    "DickeState",
     "QubitDensityMatrix",
     "dicke_state",
     "prepare_initial",
@@ -64,10 +64,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
@@ -76,31 +72,6 @@ class StateVector:
         if other.n_qubits != self.n_qubits:
             raise ValueError("states live on different registers")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True)
-class DickeState:
-    """Symmetric M-qubit state with k spins in |0>, i.e. |j = M/2, m = k - M/2>."""
-
-    M: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if not 0 <= self.k <= self.M:
-            raise ValueError(f"k must lie in [0, {self.M}], got {self.k}")
-
-    @property
-    def j(self) -> float:
-        return self.M / 2.0
-
-    @property
-    def m(self) -> float:
-        return self.k - self.M / 2.0
-
-    def expand(self) -> StateVector:
-        return dicke_state(self.M, self.k)
 
 
 class QubitDensityMatrix:
@@ -169,9 +140,9 @@ def dicke_state(M: int, k: int) -> StateVector:
     1/sqrt(C(M, k)), on the basis states whose index carries exactly M - k
     one-bits.
     """
-    spec = DickeState(M, k)  # validates ranges
+    _require_point(M, k)
     dim = 1 << M
-    ones_required = M - spec.k
+    ones_required = M - k
     amplitudes = np.zeros(dim, dtype=np.complex128)
     popcount = np.bitwise_count(np.arange(dim, dtype=np.uint64))
     support = popcount == ones_required

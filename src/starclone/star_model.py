@@ -10,8 +10,9 @@ dimensionless.  H conserves total magnetization, so in the computational
 basis it is block diagonal over the sectors of fixed popcount (number of
 one-bits); the dense builder assembles one such sector or the whole matrix.
 On the maximal outer multiplet j = M/2 it splits further into 2x2 blocks
-spanned by { |0>|j, m-1>, |1>|j, m> } plus two stationary edge states, and
-the block eigensystem is known in closed form.
+spanned by { |0>|j, m-1>, |1>|j, m> } plus two stationary edge states;
+``_block_elements`` gives each block's matrix elements to the analytic
+propagator in ``dynamics``.
 """
 
 from __future__ import annotations
@@ -22,20 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, FormulaInconsistencyError
-from .hilbert import StateVector, prepare_initial
+from .errors import CapacityError
 
 __all__ = [
     "DEFAULT_MAX_QUBITS",
     "ModelParams",
     "FullHamiltonian",
-    "SectorBlock",
-    "BlockEigensystem",
-    "EdgeState",
     "build_full_hamiltonian",
-    "sector_block",
-    "block_eigensystem",
-    "edge_eigenstate",
 ]
 
 # 15 qubits (M = 14): the largest magnetization sector, C(15, 7) = 6435
@@ -122,63 +116,6 @@ class FullHamiltonian:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class SectorBlock:
-    """One 2x2 invariant block over { |0>|j, m-1>, |1>|j, m> }.
-
-    h01 = sqrt((j+m)(j-m+1)) is the collective flip-flop element; the
-    diagonal entries collect the Ising and field terms on the two basis kets.
-    """
-
-    j: float
-    m: float
-    h00: float
-    h01: float
-    h11: float
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.h00, self.h01], [self.h01, self.h11]], dtype=np.float64
-        )
-
-    def gap(self) -> float:
-        """Eigenvalue splitting sqrt((h00 - h11)^2 + 4 h01^2)."""
-        return math.hypot(self.h00 - self.h11, 2.0 * self.h01)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockEigensystem:
-    """Eigenvalues and orthonormal eigenvectors of a sector block."""
-
-    e_plus: float
-    e_minus: float
-    vec_plus: np.ndarray
-    vec_minus: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.vec_plus.setflags(write=False)
-        self.vec_minus.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class EdgeState:
-    """Stationary one-dimensional sector at the top or bottom of the ladder.
-
-    top: |0>|j, j>  (central |0>, all outer spins up, k = M)
-    bottom: |1>|j, -j>  (central |1>, all outer spins down, k = 0)
-    """
-
-    params: ModelParams
-    which: str
-    central_bit: int
-    k: int
-    energy: float
-
-    def expand(self) -> StateVector:
-        alpha, beta = (1.0, 0.0) if self.central_bit == 0 else (0.0, 1.0)
-        return prepare_initial(alpha, beta, self.params.M, self.k)
-
-
 def _physical_ram_bytes() -> float:
     """Physical memory reported by os.sysconf; unbounded where it reports none."""
     try:
@@ -254,23 +191,6 @@ def build_full_hamiltonian(
     return FullHamiltonian(params, matrix, basis)
 
 
-def sector_block(params: ModelParams, m: float) -> SectorBlock:
-    """The 2x2 block labelled by m on the j = M/2 multiplet.
-
-    Valid for -j + 1 <= m <= j (both basis kets exist); the one-dimensional
-    extremes are covered by edge_eigenstate instead.
-    """
-    j = params.j_outer
-    m = float(m)
-    if abs((m + j) - round(m + j)) > 1e-9:
-        raise ValueError(f"m = {m!r} is not a valid magnetization for j = {j!r}")
-    if not (-j + 1.0 <= m <= j):
-        raise ValueError(
-            f"m = {m!r} outside the two-dimensional range [{-j + 1.0}, {j}]"
-        )
-    return SectorBlock(j, m, *_block_elements(params, m))
-
-
 def _block_elements(params: ModelParams, m: float) -> tuple[float, float, float]:
     """(h00, h01, h11) of block m; one step past a ladder end h01 = 0.
 
@@ -281,40 +201,3 @@ def _block_elements(params: ModelParams, m: float) -> tuple[float, float, float]
     h00 = params.lam * (m - 1.0) + params.B * (m - 0.5)
     h11 = -params.lam * m + params.B * (m - 0.5)
     return h00, h01, h11
-
-
-def block_eigensystem(block: SectorBlock, lam: float, B: float) -> BlockEigensystem:
-    """Closed-form eigenpairs of a sector block.
-
-    E_pm = ( -lam + (2m-1) B  +-  sqrt(lam^2 (2m-1)^2 + 4 h01^2) ) / 2,
-    with eigenvectors proportional to (1, a_pm),
-    a_pm = (lam - 2 m lam +- sqrt(lam^2 (2m-1)^2 + 4 h01^2)) / (2 h01),
-    normalized to unit length.
-    """
-    eps = block.h01
-    if eps <= 0.0:
-        raise FormulaInconsistencyError(
-            "sector block with vanishing off-diagonal element: "
-            "cannot happen for in-range m on the maximal multiplet"
-        )
-    m = block.m
-    disc = math.sqrt(lam * lam * (2.0 * m - 1.0) ** 2 + 4.0 * eps * eps)
-    e_plus = 0.5 * (-lam + (2.0 * m - 1.0) * B + disc)
-    e_minus = 0.5 * (-lam + (2.0 * m - 1.0) * B - disc)
-    a_plus = (lam - 2.0 * m * lam + disc) / (2.0 * eps)
-    a_minus = (lam - 2.0 * m * lam - disc) / (2.0 * eps)
-    vec_plus = np.array([1.0, a_plus]) / math.hypot(1.0, a_plus)
-    vec_minus = np.array([1.0, a_minus]) / math.hypot(1.0, a_minus)
-    return BlockEigensystem(e_plus, e_minus, vec_plus, vec_minus)
-
-
-def edge_eigenstate(params: ModelParams, which: str) -> EdgeState:
-    """Stationary edge state and its energy: 'top' or 'bottom' of the ladder."""
-    j = params.j_outer
-    if which == "top":
-        energy = j * params.lam + (j + 0.5) * params.B
-        return EdgeState(params, "top", central_bit=0, k=params.M, energy=energy)
-    if which == "bottom":
-        energy = j * params.lam - (j + 0.5) * params.B
-        return EdgeState(params, "bottom", central_bit=1, k=0, energy=energy)
-    raise ValueError(f"which must be 'top' or 'bottom', got {which!r}")

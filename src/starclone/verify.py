@@ -61,13 +61,15 @@ def _worst(residuals) -> float:
     return float(np.max(np.fromiter(residuals, dtype=np.float64), initial=0.0))
 
 
-def _oracle_samples(rng: np.random.Generator, trials: int):
+def _oracle_samples(rng: np.random.Generator, trials: int, m_max: int,
+                    lam_max: float, t_max: float):
+    """Draws (M, k, lam, B, t) with M <= m_max, |lam| <= lam_max, |B| <= 5, t <= t_max."""
     for _ in range(trials):
-        M = int(rng.integers(1, 7))
+        M = int(rng.integers(1, m_max + 1))
         k = int(rng.integers(0, M + 1))
-        lam = float(rng.uniform(-5.0, 5.0))
+        lam = float(rng.uniform(-lam_max, lam_max))
         B = float(rng.uniform(-5.0, 5.0))
-        t = float(rng.uniform(0.0, 50.0))
+        t = float(rng.uniform(0.0, t_max))
         yield M, k, lam, B, t
 
 
@@ -76,7 +78,7 @@ def suite_oracle(seed: int = 0, trials: int | None = None) -> SuiteResult:
     trials = 500 if trials is None else trials
     rng = np.random.default_rng(seed)
     amp_errors, closed_analytic, closed_dense = [], [], []
-    for M, k, lam, B, t in _oracle_samples(rng, trials):
+    for M, k, lam, B, t in _oracle_samples(rng, trials, 6, 5.0, 50.0):
         params = ModelParams(M, lam, B)
         analytic = evolve_analytic(params, k, t)
         dense = amplitudes_from_brute_force(params, k, t)
@@ -200,33 +202,19 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
     """Interference bound, its attainment, and the two fixed-coupling maxima."""
     trials = 500 if trials is None else trials
     rng = np.random.default_rng(seed)
-    violations = [
-        pcc_fidelity(evolve_analytic(ModelParams(M, lam, B), k, t)) - state_bound(M, k)
-        for M, k, lam, B, t in _oracle_samples(rng, trials)
-    ]
-    checks = [
-        Check(
-            f"interference bound violation ({trials} samples)",
-            _worst(violations),
-            1e-10,
+    checks = []
+    for box, label in (((6, 5.0, 50.0), ""), ((8, 10.0, 100.0), ", wide box")):
+        violations = [
+            pcc_fidelity(evolve_analytic(ModelParams(M, lam, B), k, t)) - state_bound(M, k)
+            for M, k, lam, B, t in _oracle_samples(rng, trials, *box)
+        ]
+        checks.append(
+            Check(
+                f"interference bound violation{label} ({trials} samples)",
+                _worst(violations),
+                1e-10,
+            )
         )
-    ]
-    wide_violations = []
-    for _ in range(trials):
-        M = int(rng.integers(1, 9))
-        k = int(rng.integers(0, M + 1))
-        lam = float(rng.uniform(-10.0, 10.0))
-        B = float(rng.uniform(-5.0, 5.0))
-        t = float(rng.uniform(0.0, 100.0))
-        f = pcc_fidelity(evolve_analytic(ModelParams(M, lam, B), k, t))
-        wide_violations.append(f - state_bound(M, k))
-    checks.append(
-        Check(
-            f"interference bound violation, wide box ({trials} samples)",
-            _worst(wide_violations),
-            1e-10,
-        )
-    )
     heis_errors = []
     for M in range(1, 9):
         params = ModelParams(M, 1.0, 0.0)

@@ -164,6 +164,43 @@ class TestConfigFiles:
         assert err.value.code == 2
 
 
+class TestConfigValuesAsFlags:
+    """A config value is valid exactly when the same flag is: argparse checks both."""
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("optimize", '{"m": 2, "b_range": 5}', "--b-range: expected 2 arguments"),
+            ("optimize", "m=2\nb_range=0.1\n", "--b-range: expected 2 arguments"),
+            ("fidelity", '{"m": 2.7, "k": 1, "t": 1.0}', "--m: invalid int value: '2.7'"),
+            ("fidelity", '{"m": 2, "k": true, "t": 1.0}', "--k: invalid int value: 'True'"),
+            ("fidelity", '{"m": 2, "k": 1, "t": 1.0, "b": true}',
+             "--b: invalid float value: 'True'"),
+            ("table1", '{"m": [2.5]}', "--m: invalid int value: '2.5'"),
+        ],
+        ids=["two-values-json", "two-values-flat", "fractional-int", "bool-int",
+             "bool-float", "fractional-int-list"],
+    )
+    def test_value_rejected_like_its_flag(self, capsys, tmp_path, command, text, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert captured.err.strip().splitlines()[-1].endswith("error: argument " + message)
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_sweep_flag_replaces_config_sweep(self, capsys, tmp_path):
+        config = tmp_path / "scan.json"
+        config.write_text('{"m": 2, "k": 0, "sweep": ["t=0:1:3", "b=0:1:2"]}')
+        code, csv = run_cli(capsys, "scan", "--config", str(config), "--sweep", "t=0:1:2")
+        rows = [row.split(",") for row in csv.strip().splitlines()[1:]]
+        assert code == 0
+        assert [(row[3], row[4]) for row in rows] == [("0", "0"), ("0", "1")]
+
+
 class TestOptimizeCommand:
     def test_finds_m2_maximum_on_small_box(self, capsys):
         code, payload = run_json(

@@ -11,7 +11,9 @@ from starclone.dynamics import (
     evolve_brute_force,
 )
 from starclone.hilbert import StateVector, prepare_initial, reduce_qubit
-from starclone.star_model import ModelParams, build_full_hamiltonian, edge_eigenstate
+from starclone.star_model import ModelParams, build_full_hamiltonian
+
+from spectral_reference import edge_eigenstate
 
 
 def random_tuple(rng, m_max=6, t_max=50.0):

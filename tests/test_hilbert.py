@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from starclone.hilbert import (
-    DickeState,
     QubitDensityMatrix,
     StateVector,
     dicke_state,
@@ -62,11 +61,6 @@ class TestDickeState:
     def test_domain_errors(self, m, k):
         with pytest.raises(ValueError):
             dicke_state(m, k)
-
-    def test_angular_momentum_labels(self):
-        spec = DickeState(5, 2)
-        assert spec.j == 2.5
-        assert spec.m == -0.5
 
 
 class TestPrepareInitial:

@@ -7,13 +7,9 @@ import pytest
 
 from starclone.errors import CapacityError
 from starclone.hilbert import prepare_initial
-from starclone.star_model import (
-    ModelParams,
-    block_eigensystem,
-    build_full_hamiltonian,
-    edge_eigenstate,
-    sector_block,
-)
+from starclone.star_model import ModelParams, build_full_hamiltonian
+
+from spectral_reference import block_eigensystem, edge_eigenstate, sector_block
 
 SQRT2 = math.sqrt(2.0)
 
