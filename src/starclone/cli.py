@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 
 _MODELS = ("xx", "heisenberg", "xxz")
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 _SWEEP_AXES = ("lambda", "b", "t")  # also the axis order of scan's fidelity array
 # scan's memory per CSV row: the fidelity array, three mesh copies, four
 # column lists and the row text (about 320 bytes measured with tracemalloc)
@@ -194,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, opts in _OPTIONS.items():
         sub = subparsers.add_parser(command, help=_HELP[command])
+        sub._negative_number_matcher = _NEGATIVE_NUMBER  # argparse's misses -1e-05 and -inf
         if command == "verify":
             sub.add_argument("suite", choices=SUITE_NAMES,
                              help="verification suite to run")
@@ -503,17 +506,15 @@ def cmd_scan(values: dict) -> dict:
     grids = {"lambda": [values["lambda"]], "b": [values["b"]], "t": [values["t"]],
              **{axis: np.linspace(*spec) for axis, spec in sweeps}}
     lams, bs, ts = (np.asarray(grids[axis], dtype=np.float64) for axis in _SWEEP_AXES)
+    route = evolve_analytic if method == "analytic" else (
+        lambda params, k, t: amplitudes_from_brute_force(params, k, t, values["max_qubits"]))
     fidelity = np.empty((lams.size, bs.size, ts.size))
     for i, lam_ in enumerate(lams.tolist()):
         for j, b in enumerate(bs.tolist()):
-            params = ModelParams(m, lam_, b)
             if method == "closed-form":
                 fidelity[i, j] = fidelity_closed_form(m, k, lam_, b, ts)
-            elif method == "analytic":
-                fidelity[i, j] = pcc_fidelity(evolve_analytic(params, k, ts))
             else:
-                fidelity[i, j] = [pcc_fidelity(amplitudes_from_brute_force(
-                    params, k, t, values["max_qubits"])) for t in ts.tolist()]
+                fidelity[i, j] = pcc_fidelity(route(ModelParams(m, lam_, b), k, ts))
     # rows run over the sweep axes, the first one outermost
     swept = [_SWEEP_AXES.index(axis) for axis, _ in sweeps]
     mesh = (*np.meshgrid(lams, bs, ts, indexing="ij"), fidelity)

@@ -150,10 +150,9 @@ def fidelity_closed_form(M: int, k: int, lam: float, B, t):
     F = 1/2 + (p+ sin w+t + p- sin w-t) sin Bt + q (cos w-t - cos w+t) cos Bt
     with the coefficients of _normal_form; the cos Bt term runs only if q != 0.
     """
-    _require_point(M, k, lam, B, t)
+    t = _require_point(M, k, lam, B, t)
     p_plus, p_minus, q, omega_plus, omega_minus = _normal_form(M, k, lam)
     B = B if isinstance(B, float) else np.asarray(B, dtype=np.float64)
-    t = t if isinstance(t, float) else np.asarray(t, dtype=np.float64)
     a = p_plus * np.sin(omega_plus * t) + p_minus * np.sin(omega_minus * t)
     f = 0.5 + a * np.sin(B * t)
     if q:

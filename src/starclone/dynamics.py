@@ -6,11 +6,11 @@ identity at t = 0, a pure phase at the ladder ends) and returns the four
 transition amplitudes (f1, f2, g1, g2), at a scalar t or a whole t array in
 one broadcast call.  The oracle route uses only the computational basis and
 magnetization conservation: it eigendecomposes the dense Hamiltonian one
-magnetization sector (fixed popcount) at a time, evolves each sector that
-holds weight in the state and scatters the results back into the 2**(M+1)
-amplitudes.  Both use the common phase convention exp(-i H t): no global
-phase is stripped, because the relative phase between the two blocks enters
-the cloning fidelity.
+magnetization sector (fixed popcount) at a time, and projects the four
+amplitudes inside the two sectors the inputs occupy, at a scalar or array t.
+Both use the common phase convention exp(-i H t): no global phase is
+stripped, because the relative phase between the two blocks enters the
+cloning fidelity.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .star_model import (
     ModelParams,
     _block_elements,
     _require_capacity,
+    _require_memory,
     _require_point,
     build_full_hamiltonian,
 )
@@ -83,8 +84,7 @@ def evolve_analytic(params: ModelParams, k: int, t) -> BlockAmplitudes:
     - i t sinc(eta t/2) (d sz + eps sx)] is exact for every t >= 0.  At k = M
     (k = 0) that block is one step past the ladder end: eps = 0, f2 (g1) is 0.
     """
-    _require_point(params.M, k, params.lam, params.B, t)
-    t = float(t) if isinstance(t, (float, int)) else np.asarray(t, dtype=np.float64)
+    t = _require_point(params.M, k, params.lam, params.B, t)
     m = k - params.j_outer
     columns = []
     for block, sign in ((m + 1.0, 1.0), (m, -1.0)):
@@ -99,8 +99,8 @@ def evolve_analytic(params: ModelParams, k: int, t) -> BlockAmplitudes:
 
 
 # Each oracle input (alpha|0> + beta|1>)|S(M,k)> spans exactly sectors M-k and
-# M-k+1 and scan keeps t innermost: two slots serve a sweep, and a k-ladder (the
-# bounds suite) needs a third.  More only pin memory: 45 MiB a slot at M = 12.
+# M-k+1, and scan makes one call per (lambda, B): two slots serve a sweep, and a
+# k-ladder (the bounds suite) needs a third.  More pin 45 MiB a slot at M = 12.
 @lru_cache(maxsize=3)
 def _dense_eigensystem(
     params: ModelParams, sector: int, max_qubits: int
@@ -143,39 +143,41 @@ def evolve_brute_force(
 def amplitudes_from_brute_force(
     params: ModelParams,
     k: int,
-    t: float,
+    t,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> BlockAmplitudes:
-    """Amplitudes recovered by projecting dense evolution onto the block basis.
+    """Amplitudes projected from dense evolution, at a scalar or array t.
 
-    Evolves the unit-alpha and unit-beta initial states separately and takes
-    inner products with the four allowed product states.  Any weight left
-    outside those states (beyond ORACLE_RESIDUAL_TOL) raises
-    OracleInconsistencyError, since magnetization conservation forbids it.
+    alpha's input and its partner |1>|S(M,k+1)> lie in sector M - k, beta's
+    and |0>|S(M,k-1)> in sector M - k + 1.  With that sector's eigensystem
+    (E, V), <b|exp(-iHt)|a> = sum_j conj(V^H b)_j (V^H a)_j exp(-i E_j t): one
+    phase-matrix product for all t.  A unitarity defect above
+    ORACLE_RESIDUAL_TOL, or a NaN, raises OracleInconsistencyError.
     """
-    _require_point(params.M, k, params.lam, params.B, t)
+    t = _require_point(params.M, k, params.lam, params.B, t)
     _require_capacity(params.n_qubits, max_qubits)
     M = params.M
-
-    ket_f = prepare_initial(1, 0, M, k)
-    psi_f = evolve_brute_force(params, ket_f, t, max_qubits)
-    f1 = ket_f.overlap(psi_f)
-    f2 = prepare_initial(0, 1, M, k + 1).overlap(psi_f) if k < M else 0j
-    residual = abs(psi_f.norm_squared() - abs(f1) ** 2 - abs(f2) ** 2)
-    if residual > ORACLE_RESIDUAL_TOL:
+    amplitudes = []
+    for sector, own, partner in (  # alpha, then beta; no partner past a ladder end
+        (M - k, prepare_initial(1, 0, M, k),
+         prepare_initial(0, 1, M, k + 1) if k < M else None),
+        (M - k + 1, prepare_initial(0, 1, M, k),
+         prepare_initial(1, 0, M, k - 1) if k > 0 else None),
+    ):
+        basis, evals, evecs = _dense_eigensystem(params, sector, max_qubits)
+        # the complex exponent and the phases: two n_t x dim complex arrays
+        _require_memory(32 * np.size(t) * evals.size, f"{np.size(t)} time phases")
+        phases = np.exp(np.multiply.outer(t, -1j * evals))
+        own_coeffs = evecs.conj().T @ own.amplitudes[basis]
+        amplitudes += [
+            np.zeros(np.shape(t), dtype=np.complex128)[()] if ket is None else
+            phases @ ((evecs.conj().T @ ket.amplitudes[basis]).conj() * own_coeffs)
+            for ket in (own, partner)]
+    f1, f2, g2, g1 = amplitudes
+    amp = BlockAmplitudes(params, k, t, f1, f2, g1, g2)
+    defect = np.max(amp.unitarity_defect(), initial=0.0)
+    if not defect <= ORACLE_RESIDUAL_TOL:  # a NaN fails too
         raise OracleInconsistencyError(
-            f"alpha-branch weight {residual!r} outside the block basis "
-            f"(M={M}, k={k}, t={t!r})"
+            f"weight {float(defect)!r} outside the block basis (M={M}, k={k}, t={t!r})"
         )
-
-    ket_g = prepare_initial(0, 1, M, k)
-    psi_g = evolve_brute_force(params, ket_g, t, max_qubits)
-    g1 = prepare_initial(1, 0, M, k - 1).overlap(psi_g) if k > 0 else 0j
-    g2 = ket_g.overlap(psi_g)
-    residual = abs(psi_g.norm_squared() - abs(g1) ** 2 - abs(g2) ** 2)
-    if residual > ORACLE_RESIDUAL_TOL:
-        raise OracleInconsistencyError(
-            f"beta-branch weight {residual!r} outside the block basis "
-            f"(M={M}, k={k}, t={t!r})"
-        )
-    return BlockAmplitudes(params, k, float(t), f1, f2, g1, g2)
+    return amp

@@ -81,6 +81,8 @@ def worker_count() -> int:
 
 
 def _as_range(name: str, pair) -> tuple[float, float]:
+    if np.shape(pair) != (2,):
+        raise ValueError(f"{name} must be two values (lo, hi), got {pair!r}")
     lo, hi = (float(pair[0]), float(pair[1]))
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError(f"{name} must be finite with lo <= hi, got ({lo!r}, {hi!r})")
@@ -110,6 +112,9 @@ class SearchBox:
     def __post_init__(self) -> None:
         object.__setattr__(self, "b_range", _as_range("b_range", self.b_range))
         object.__setattr__(self, "t_range", _as_range("t_range", self.t_range))
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer))
+               for k in self.k_candidates):
+            raise ValueError(f"k_candidates must be integers, got {self.k_candidates!r}")
         ks = tuple(sorted({int(k) for k in self.k_candidates}))
         if not ks:
             raise ValueError("k_candidates must not be empty")
@@ -342,13 +347,6 @@ class Table1Row:
     evaluations: int
 
 
-def _xx_objective(M: int):
-    def objective(k, lam, b, t):
-        return xx_fidelity(M, k, b, t)
-
-    return objective
-
-
 def reproduce_table1(
     ms=tuple(range(2, 9)),
     n_b: int = 201,
@@ -375,7 +373,10 @@ def reproduce_table1(
             n_b=n_b,
             n_t=n_t,
         )
-        objective = _xx_objective(M)
+
+        def objective(k, lam, b, t):  # the lam = 0 box: lam is always 0
+            return xx_fidelity(M, k, b, t)
+
         if refine:
             result = scan_and_refine(objective, box, m=M, n_candidates=n_candidates)
         else:

@@ -37,14 +37,15 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 15
 
 
-def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> None:
+def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> float | np.ndarray:
     """Raise ValueError unless (M, k, lam, B, t) lies in the model's domain.
 
     M is an integer >= 1 and k an integer in [0, M], a bool being neither;
     lam and B are finite, and t is finite and >= 0, elementwise for arrays.
     Every phase rate of the model is at most s = (M+1)(1 + |lam| + max|B|),
     so t * s must be finite too, or a phase would overflow into a NaN.
-    Python scalars skip numpy; an array t costs one min/max pass.
+    Python scalars skip numpy; an array t costs one min/max pass.  Returns t
+    as a float, or as a float64 array.
     """
     if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
         raise ValueError(f"M must be an integer >= 1, got {M!r}")
@@ -67,6 +68,7 @@ def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> None:
             f"the phase t * s overflows at t = {float(hi)!r}, "
             f"s = (M+1)(1 + |lam| + max|B|) = {scale:.3g}"
         )
+    return float(t) if isinstance(t, (float, int)) else t
 
 
 @dataclass(frozen=True)

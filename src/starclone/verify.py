@@ -179,15 +179,10 @@ def suite_ancilla_free(seed: int = 0, trials: int | None = None) -> SuiteResult:
             prepare_initial(alpha, beta, m_outer, preset.k),
             preset.t,
         )
-        matrices = [reduce_qubit(psi, q).matrix for q in range(m_outer + 1)]
-        spread = _worst(np.abs(m - matrices[0]).max() for m in matrices)
-        checks.append(
-            Check(f"M_outer={m_outer} reduced-matrix spread", spread, 1e-10)
-        )
-        worst_f = _worst(
-            abs(fidelity_pure(reduce_qubit(psi, q), alpha, beta) - preset.fidelity)
-            for q in range(m_outer + 1)
-        )
+        rhos = [reduce_qubit(psi, q) for q in range(m_outer + 1)]
+        spread = _worst(np.abs(rho.matrix - rhos[0].matrix).max() for rho in rhos)
+        checks.append(Check(f"M_outer={m_outer} reduced-matrix spread", spread, 1e-10))
+        worst_f = _worst(abs(fidelity_pure(r, alpha, beta) - preset.fidelity) for r in rhos)
         checks.append(
             Check(
                 f"M_outer={m_outer} common fidelity vs (M+2)/(4(M+1)) bound",

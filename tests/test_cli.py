@@ -192,6 +192,14 @@ class TestConfigValuesAsFlags:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_exponent_negative_value_in_config(self, capsys, tmp_path):
+        config = tmp_path / "box.json"
+        config.write_text('{"m": 2, "model": "xx", "b_range": [-1e-05, 1], '
+                          '"n_b": 3, "n_t": 11, "refine": false}')
+        code, payload = run_json(capsys, "optimize", "--config", str(config))
+        assert code == 0
+        assert payload["b_range"] == [-1e-05, 1.0]
+
     def test_sweep_flag_replaces_config_sweep(self, capsys, tmp_path):
         config = tmp_path / "scan.json"
         config.write_text('{"m": 2, "k": 0, "sweep": ["t=0:1:3", "b=0:1:2"]}')
@@ -430,6 +438,27 @@ class TestInputContract:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
         assert "nan" not in captured.out.lower()
+
+
+class TestNegativeNumberSpellings:
+    """Exponent and inf spellings of a negative number are values, not flags."""
+
+    @pytest.mark.parametrize("lo,hi", [("-1e-05", "1"), ("-1E+2", "-5e-1")])
+    def test_two_value_flag_takes_exponent_form(self, capsys, lo, hi):
+        code, payload = run_json(capsys, "optimize", "--m", "2", "--model", "xx",
+                                 "--b-range", lo, hi, "--n-b", "3", "--n-t", "11",
+                                 "--no-refine")
+        assert code == 0
+        assert payload["b_range"] == [float(lo), float(hi)]
+
+    def test_negative_infinity_gets_the_domain_message(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["optimize", "--m", "2", "--model", "xx", "--t-range", "-inf", "1",
+                      "--n-b", "3", "--n-t", "11"])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "t_range must be finite" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestPresetsCommand:

@@ -80,12 +80,15 @@ def test_array_time_equals_scalar_calls():
     for params, k in _draws(rng, 40):
         times = np.concatenate([[0.0], rng.uniform(0.0, 300.0, 60)])
         amp = evolve_analytic(params, k, times)
+        dense = amplitudes_from_brute_force(params, k, times)
         fidelities = pcc_fidelity(amp)
         assert fidelities.shape == times.shape
         for i, t in enumerate(times.tolist()):
             scalar = evolve_analytic(params, k, t)
+            dense_scalar = amplitudes_from_brute_force(params, k, t)
             for name in ("f1", "f2", "g1", "g2"):
                 assert abs(getattr(amp, name)[i] - getattr(scalar, name)) <= 1e-15
+                assert abs(getattr(dense, name)[i] - getattr(dense_scalar, name)) <= 1e-12
             assert abs(fidelities[i] - pcc_fidelity(scalar)) <= 1e-15
 
 
@@ -97,6 +100,14 @@ def test_array_time_keeps_shape_and_unitarity():
         assert getattr(amp, name).shape == (3, 4)
     assert amp.unitarity_defect().shape == (3, 4)
     assert amp.unitarity_defect().max() < 1e-12
+    # both routes keep any t shape: 0-d, (3,) and (3, 4), ladder ends included
+    for shaped in (np.asarray(7.5), times[0, :3], times):
+        for k in (0, 2, 4):
+            for route in (evolve_analytic, amplitudes_from_brute_force):
+                amp = route(params, k, shaped)
+                for name in ("f1", "f2", "g1", "g2"):
+                    assert np.shape(getattr(amp, name)) == shaped.shape
+                assert amp.unitarity_defect().max() < 1e-12
 
 
 def test_array_time_matches_closed_form():

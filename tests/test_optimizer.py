@@ -50,6 +50,27 @@ class TestSearchBox:
         box = SearchBox(k_candidates=(3, 1, 1, 0))
         assert box.k_candidates == (0, 1, 3)
 
+    def test_one_value_range_rejected(self):
+        with pytest.raises(ValueError, match="two values"):
+            SearchBox(b_range=(0.1,), t_range=(0.0, 5.0), k_candidates=(0,))
+
+    def test_three_value_range_rejected(self):
+        with pytest.raises(ValueError, match="two values"):
+            SearchBox(b_range=(0.1, 0.5, 0.9), t_range=(0.0, 5.0), k_candidates=(0,))
+
+    def test_fractional_k_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            SearchBox(k_candidates=(2.7,))
+
+    def test_bool_k_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            SearchBox(k_candidates=(True,))
+
+    def test_numpy_integer_k_accepted(self):
+        box = SearchBox(k_candidates=(np.int64(2), np.int32(0)), b_range=np.array([0.1, 0.5]))
+        assert box.k_candidates == (0, 2)
+        assert box.b_range == (0.1, 0.5)
+
 
 class TestGridScan:
     def test_constant_objective_returns_smallest_corner(self):

@@ -7,6 +7,7 @@ drawn too: there every route must raise the same error type.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +29,18 @@ def star_points(draw):
 
 
 @PROPERTY_SETTINGS
-@given(star_points())
-def test_block_amplitudes_match_dense_oracle(point):
+@given(star_points(), st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5))
+def test_block_amplitudes_match_dense_oracle(point, times):
     params, k, t = point
     analytic = evolve_analytic(params, k, t)
     dense = amplitudes_from_brute_force(params, k, t)
     for name in ("f1", "f2", "g1", "g2"):
         assert abs(getattr(analytic, name) - getattr(dense, name)) < 1e-10
+    # the dense route at a 1-5 point t array, elementwise
+    analytic = evolve_analytic(params, k, np.array(times))
+    dense = amplitudes_from_brute_force(params, k, np.array(times))
+    for name in ("f1", "f2", "g1", "g2"):
+        assert np.abs(getattr(analytic, name) - getattr(dense, name)).max() < 1e-10
 
 
 @PROPERTY_SETTINGS

@@ -14,7 +14,7 @@ from starclone.dynamics import (
     amplitudes_from_brute_force,
     evolve_brute_force,
 )
-from starclone.errors import CapacityError
+from starclone.errors import CapacityError, OracleInconsistencyError
 from starclone.hilbert import StateVector, prepare_initial
 from starclone.star_model import ModelParams, build_full_hamiltonian
 
@@ -109,6 +109,21 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             build_full_hamiltonian(ModelParams(8, 0.3, 0.2), sector=4)
 
+    def test_large_time_array_raises_before_allocation(self, monkeypatch):
+        # the phase matrix of 100,000 t in a 3-state sector needs 9.6 MB
+        monkeypatch.setattr(star_model, "_physical_ram_bytes", lambda: 1 << 20)
+        times = np.linspace(0.0, 10.0, 100_000)
+        params = ModelParams(2, 0.3, 0.2)
+        amplitudes_from_brute_force(params, 1, times[:100])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                amplitudes_from_brute_force(params, 1, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_oversized_request_allocates_nothing(self):
         # M = 40 is a 16 TiB state: the estimate must refuse it up front
         params = ModelParams(40, 0.3, 0.2)
@@ -145,3 +160,29 @@ class TestOracleWork:
         monkeypatch.setattr(dynamics, "prepare_initial", counting)
         amplitudes_from_brute_force(ModelParams(4, 0.3, 0.2), k, 1.0)
         assert len(count) == calls
+
+    def test_brute_scan_calls_the_oracle_once_per_lambda_b(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(params, k, t, *args, **kwargs):
+            calls.append((params.lam, params.B, np.shape(t)))
+            return amplitudes_from_brute_force(params, k, t, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "amplitudes_from_brute_force", counting)
+        code = cli.main(["scan", "--m", "3", "--k", "1", "--method", "brute", "--b", "0.3",
+                         "--sweep", "lambda=0:1:2", "--sweep", "t=0:5:7"])
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2 * 7
+        assert calls == [(0.0, 0.3, (7,)), (1.0, 0.3, (7,))]
+
+
+class TestOracleResidual:
+    def test_nan_eigenvalues_raise(self, monkeypatch):
+        def nan_eigensystem(params, sector, max_qubits):
+            basis, evals, evecs = _dense_eigensystem(params, sector, max_qubits)
+            return basis, np.full_like(evals, np.nan), evecs
+
+        monkeypatch.setattr(dynamics, "_dense_eigensystem", nan_eigensystem)
+        for t in (1.0, np.array([0.5, 1.0, 2.0])):
+            with pytest.raises(OracleInconsistencyError):
+                amplitudes_from_brute_force(ModelParams(3, 0.4, 0.2), 1, t)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from starclone import verify
+from starclone.hilbert import reduce_qubit
 from starclone.verify import Check, run_suite
 
 
@@ -50,3 +51,17 @@ class TestTrials:
     def test_trials_below_one_rejected(self, trials):
         with pytest.raises(ValueError):
             run_suite("oracle", trials=trials)
+
+
+class TestAncillaFree:
+    def test_each_qubit_is_reduced_once(self, monkeypatch):
+        calls = []
+
+        def counting(psi, q):
+            calls.append(q)
+            return reduce_qubit(psi, q)
+
+        monkeypatch.setattr(verify, "reduce_qubit", counting)
+        result = run_suite("ancilla-free", seed=0)
+        assert result.passed
+        assert len(calls) == 3 + 5 + 7  # M_outer = 2, 4, 6: every qubit once
