@@ -45,6 +45,7 @@ from .hilbert import (
 )
 from .optimizer import (
     BestPoint,
+    BoxMaximum,
     OptResult,
     SearchBox,
     Table1Row,
@@ -53,6 +54,7 @@ from .optimizer import (
     refine_local,
     reproduce_table1,
     scan_and_refine,
+    xx_box_maximum,
 )
 from .star_model import (
     DEFAULT_MAX_QUBITS,
@@ -104,11 +106,13 @@ __all__ = [
     "SearchBox",
     "BestPoint",
     "OptResult",
+    "BoxMaximum",
     "Table1Row",
     "XX_REFERENCE_MAXIMA",
     "grid_scan",
     "refine_local",
     "scan_and_refine",
+    "xx_box_maximum",
     "reproduce_table1",
     # verify
     "Check",

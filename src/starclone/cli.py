@@ -143,10 +143,13 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     "table1": (
         _Opt("m", "--m", int, None, nargs="*",
              help="network sizes (default: 2..8)"),
-        _Opt("n_b", "--n-b", int, 201, help="field grid points"),
-        _Opt("n_t", "--n-t", int, 30001, help="time grid points"),
+        _Opt("n_b", "--n-b", int, 201,
+             help="accepted and ignored: the exact search needs no field grid"),
+        _Opt("n_t", "--n-t", int, 30001,
+             help="seed grid points on [0, T0], T0 = 2 pi/(B_hi - B_lo), before the "
+                  "certified bisection"),
         _Opt("refine", "--refine", default=True, boolean=True,
-             help="refine leading basins with a local simplex"),
+             help="accepted and ignored: the exact search needs no refinement"),
         *_COMMON_OUT,
     ),
     "verify": (
@@ -180,7 +183,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
 _HELP = {
     "fidelity": "evaluate cloning fidelities at one parameter point",
     "optimize": "maximize the equatorial fidelity over a (B, t) box",
-    "table1": "run the constrained XX-model search for M = 2..8",
+    "table1": "find the certified XX-model box maximum for M = 2..8",
     "verify": "run a named verification suite",
     "scan": "emit a CSV fidelity scan over one or two axes",
     "presets": "print the optimal parameter sets for a given M",
@@ -418,7 +421,7 @@ def cmd_table1(values: dict) -> dict:
         "refine": values["refine"],
         "rows": [
             {"m": row.M, "k": row.k, "b": row.B, "t": row.t, "f_max": row.f_max,
-             "f_optimal": row.f_optimal, "f_reference": row.f_reference,
+             "f_upper": row.f_upper, "f_optimal": row.f_optimal, "f_reference": row.f_reference,
              "deviation": row.deviation, "flagged": row.flagged}
             for row in rows
         ],

@@ -86,7 +86,7 @@ def reduced_outer(
         / M
     )
     trace = rho00 + rho11
-    if abs(trace - 1.0) > 1e-9:
+    if not abs(trace - 1.0) <= 1e-9:  # a NaN trace fails too
         raise FormulaInconsistencyError(
             f"outer reduced matrix has trace {trace!r}"
         )
@@ -101,7 +101,7 @@ def reduced_central(
     rho11 = abs(alpha * amp.f2) ** 2 + abs(beta * amp.g2) ** 2
     rho01 = alpha * np.conj(beta) * amp.f1 * np.conj(amp.g2)
     trace = rho00 + rho11
-    if abs(trace - 1.0) > 1e-9:
+    if not abs(trace - 1.0) <= 1e-9:  # a NaN trace fails too
         raise FormulaInconsistencyError(
             f"central reduced matrix has trace {trace!r}"
         )

@@ -79,22 +79,22 @@ class QubitDensityMatrix:
 
     ``rho10`` is held as the exact conjugate of ``rho01``.  Construction
     rejects matrices whose trace strays from 1 beyond 1e-9 or whose spectrum
-    dips below -1e-12.
+    dips below -1e-12; each check is written so that a NaN entry fails it.
     """
 
     __slots__ = ("rho00", "rho01", "rho11")
 
     def __init__(self, rho00: complex, rho01: complex, rho11: complex) -> None:
         r00, r11 = complex(rho00), complex(rho11)
-        if abs(r00.imag) > _HERMITICITY_ATOL or abs(r11.imag) > _HERMITICITY_ATOL:
+        if not (abs(r00.imag) <= _HERMITICITY_ATOL and abs(r11.imag) <= _HERMITICITY_ATOL):
             raise ValueError("diagonal entries of a density matrix must be real")
         self.rho00 = float(r00.real)
         self.rho01 = complex(rho01)
         self.rho11 = float(r11.real)
         trace = self.rho00 + self.rho11
-        if abs(trace - 1.0) > _TRACE_ATOL:
+        if not abs(trace - 1.0) <= _TRACE_ATOL:
             raise ValueError(f"trace must equal 1, got {trace!r}")
-        if self.eigenvalues()[0] < _EIGENVALUE_FLOOR:
+        if not self.eigenvalues()[0] >= _EIGENVALUE_FLOOR:
             raise ValueError(
                 f"density matrix not positive semidefinite: {self.eigenvalues()}"
             )
@@ -104,7 +104,7 @@ class QubitDensityMatrix:
         mat = np.asarray(matrix, dtype=np.complex128)
         if mat.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-        if abs(mat[1, 0] - np.conj(mat[0, 1])) > _HERMITICITY_ATOL:
+        if not abs(mat[1, 0] - np.conj(mat[0, 1])) <= _HERMITICITY_ATOL:
             raise ValueError("matrix is not Hermitian")
         off = 0.5 * (mat[0, 1] + np.conj(mat[1, 0]))
         return cls(mat[0, 0], off, mat[1, 1])

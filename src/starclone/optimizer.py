@@ -1,16 +1,25 @@
 """Constrained fidelity maximization over a (B, t) search box.
 
-The search is a dense Cartesian grid scan with a deterministic argmax (ties
-resolved toward smaller t, then smaller B, k and lam) followed by
-derivative-free simplex refinement clipped to the box.  The scan is serial:
-for each (k, lam) it evaluates the B rows in blocks, one objective call per
-block, so a kernel computes its B-independent factors once per block.
+Two searches share one tie rule (largest F, then smaller t, B, k and lam).
 
-Objectives are callables ``objective(k, lam, B, t)``.  The grid scan passes
-a column of B values, shape (n, 1), against the 1-D t row and expects an
-(n, n_t) array back (or one n_t row when the value does not depend on B);
-refinement passes scalars.  Plain numpy ufunc arithmetic in B and t
-satisfies both.
+The XX box (lam = 0, all k) is solved exactly by xx_box_maximum.  There
+F = 1/2 + a(t) sin Bt, and a'(t) = (K1 - K2)/(2M) cos(sqrt(K1) t) cos(sqrt(K2) t)
+with K1 = k(M-k+1), K2 = (M-k)(k+1).  Once the phase arc [lo t, hi t] spans
+a full period, the maximum over B is 1/2 + |a(t)|, so the maximum over t sits
+at an enumerable critical point of a.  Only the short stretch before that
+needs a 1-D search, certified by a Lipschitz bound (Piyavskii 1972; Shubert
+1972, SIAM J. Numer. Anal. 9:379).  reproduce_table1 runs it for the paper
+box.
+
+A generic objective goes through a dense Cartesian grid scan with a
+deterministic argmax, followed by derivative-free simplex refinement clipped
+to the box.  The scan is serial: for each (k, lam) it evaluates the B rows
+in blocks, one objective call per block, so a kernel computes its
+B-independent factors once per block.  Objectives are callables
+``objective(k, lam, B, t)``.  The grid scan passes a column of B values,
+shape (n, 1), against the 1-D t row and expects an (n, n_t) array back (or
+one n_t row when the value does not depend on B); refinement passes
+scalars.  Plain numpy ufunc arithmetic in B and t satisfies both.
 """
 
 from __future__ import annotations
@@ -20,10 +29,9 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .cloning import optimal_pcc_bound, xx_fidelity
-from .star_model import _require_memory
+from .cloning import _normal_form, optimal_pcc_bound, state_bound, xx_fidelity
+from .star_model import _require_memory, _require_point
 
 __all__ = [
     "WORKERS_ENV_VAR",
@@ -31,11 +39,13 @@ __all__ = [
     "SearchBox",
     "BestPoint",
     "OptResult",
+    "BoxMaximum",
     "Table1Row",
     "worker_count",
     "grid_scan",
     "refine_local",
     "scan_and_refine",
+    "xx_box_maximum",
     "reproduce_table1",
 ]
 
@@ -43,7 +53,7 @@ WORKERS_ENV_VAR = "STARCLONE_WORKERS"
 
 # Reference maxima for the XX-model search box B in [0.01, 1], t in [0, 300],
 # one row per network size M: (f_max, t, B, k).  They come from an earlier,
-# coarser numerical search; the exhaustive scan below finds slightly higher
+# coarser numerical search; the exact enumeration below finds slightly higher
 # maxima for some M (confirmed against the dense-evolution oracle), so rows
 # deviating from the reference are flagged for reporting, never errors.
 XX_REFERENCE_MAXIMA: dict[int, tuple[float, float, float, int]] = {
@@ -63,6 +73,19 @@ _BLOCK_ELEMENTS = 2**18
 
 # Smallest t separation of two refinement candidates of one (k, lam).
 _CANDIDATE_SPACING = 0.5
+
+_TWO_PI = 2.0 * math.pi
+
+# Rounding allowance on a closed-form value of size <= 1: a few ulps.
+_ROUND_SLACK = 1e-15
+
+# A Lipschitz cell is settled once its bound is within this of the incumbent.
+_CERT_TOL = 1e-10
+
+# Bisection stops after this many rounds, or when more cells than this stay
+# open in one round; the bound of every open cell then enters f_upper.
+_MAX_ROUNDS = 60
+_MAX_OPEN_CELLS = 2**16
 
 
 def worker_count() -> int:
@@ -260,6 +283,17 @@ def _basin_candidates(ranked: list[BestPoint], n_candidates: int) -> tuple[BestP
     return tuple(chosen)
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call.
+
+    Only refinement needs scipy.optimize, which would otherwise be most of
+    the package's import time.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def refine_local(
     objective,
     start: tuple[float, float],
@@ -332,14 +366,149 @@ def scan_and_refine(
 
 
 @dataclass(frozen=True)
+class BoxMaximum:
+    """Maximum of a box with a certificate: no point of the box has F > f_upper."""
+
+    best: BestPoint
+    f_upper: float
+    evaluations: int
+
+
+def _arc_max(a: np.ndarray, t: np.ndarray, lo: float, hi: float):
+    """(g, B): g = max over B in [lo, hi] of a sin(Bt) per t, and a B attaining it.
+
+    g is |a| when the phase arc [lo t, hi t] holds a peak phase phi + 2 pi n
+    (phi = pi/2 for a >= 0, 3 pi/2 otherwise); B is then the smallest such
+    peak over t.  Otherwise g is the better edge, lo on a tie.
+    """
+    phi = np.where(a >= 0.0, 0.5 * math.pi, 1.5 * math.pi)
+    phase = phi + _TWO_PI * np.ceil((lo * t - phi) / _TWO_PI)
+    holds = (t > 0.0) & (phase <= hi * t)
+    at_lo, at_hi = a * np.sin(lo * t), a * np.sin(hi * t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 never holds
+        peak_b = np.clip(phase / t, lo, hi)  # rounding can step past an edge
+    b = np.where(holds, peak_b, np.where(at_hi > at_lo, hi, lo))
+    return np.where(holds, np.abs(a), np.maximum(at_lo, at_hi)), b
+
+
+def _xx_amplitude(form, t):
+    """a(t) = p+ sin(w+ t) + p- sin(w- t) from a lam = 0 _normal_form."""
+    p_plus, p_minus, _q, w_plus, w_minus = form
+    return p_plus * np.sin(w_plus * t) + p_minus * np.sin(w_minus * t)
+
+
+def _critical_times(squares: tuple[int, int], t_lo: float, t_hi: float) -> np.ndarray:
+    """The zeros t = (2n+1) pi / (2 sqrt K) of cos(sqrt(K) t) in [t_lo, t_hi], K in squares."""
+    times = [np.empty(0)]
+    for K in squares:
+        if K:
+            w = math.sqrt(K)
+            n = np.arange(max(0, math.floor(t_lo * w / math.pi - 0.5)),
+                          math.ceil(t_hi * w / math.pi - 0.5) + 1)
+            times.append((2 * n + 1) * (0.5 * math.pi / w))
+    t = np.concatenate(times)
+    return t[(t >= t_lo) & (t <= t_hi)]  # filter after rounding
+
+
+def _best_of(M: int, k: int, b: np.ndarray, t: np.ndarray,
+             incumbent: BestPoint | None) -> BestPoint | None:
+    """The better of the incumbent and the best (b, t) of this k by the tie rule.
+
+    The winner's F is xx_fidelity at its own scalar point, so a reported
+    maximum re-evaluates to the same bits.
+    """
+    f = np.asarray(xx_fidelity(M, k, b, t))
+    top = np.flatnonzero(f == f.max())
+    i = top[np.lexsort((b[top], t[top]))[0]]
+    B, T = float(b[i]), float(t[i])
+    point = BestPoint(M, k, 0.0, B, T, float(xx_fidelity(M, k, B, T)))
+    return point if _better(point, incumbent) else incumbent
+
+
+def xx_box_maximum(
+    M: int,
+    b_range: tuple[float, float] = (0.01, 1.0),
+    t_range: tuple[float, float] = (0.0, 300.0),
+    n_t: int = 30001,
+) -> BoxMaximum:
+    """Certified maximum of the XX fidelity over k in 0..M and a (B, t) box.
+
+    For t >= T0 = 2 pi/(hi - lo) the maximum over B is 1/2 + |a(t)| exactly,
+    so only the critical points of a, T0 and the range ends are candidates.
+    On [t_lo, min(T0, t_hi)] the maximum over B, g(t), is taken exactly on an
+    ``n_t``-point seed grid plus the critical points, and certified with the
+    Lipschitz constant L = |K1 - K2|/(2M) + max(|lo|, |hi|)(|p+| + |p-|):
+    a cell whose bound exceeds the incumbent by more than 1e-10 is bisected,
+    and every bound is capped by state_bound(M, k).  Each point is evaluated
+    through xx_fidelity; ties go by BestPoint.tie_key.  ``evaluations``
+    counts the closed-form points.
+    """
+    lo, hi = _as_range("b_range", b_range)
+    t_lo, t_hi = _as_range("t_range", t_range)
+    _require_point(M, 0, 0.0, np.array([lo, hi]), np.array([t_lo, t_hi]))
+    if n_t < 2:
+        raise ValueError(f"n_t must be >= 2, got {n_t}")
+    t0 = _TWO_PI / (hi - lo) if hi > lo else math.inf
+    t_mid = min(t0, t_hi)
+    w_max = math.sqrt(max(k * (M - k + 1) for k in range(M + 1)))
+    # one k at a time: the seed grid and the critical times, ~12 float arrays
+    _require_memory(96 * (n_t + 2 * math.ceil(t_hi * w_max / math.pi + 2)),
+                    f"an XX box search with a {n_t}-point seed grid")
+
+    best: BestPoint | None = None
+    upper, evaluations, cells = -math.inf, 0, []
+    for k in range(M + 1):
+        form = _normal_form(M, k, 0.0)
+        K1, K2 = k * (M - k + 1), (M - k) * (k + 1)
+        seed = np.linspace(t_lo, t_mid, n_t) if t_lo <= t_mid else np.empty(0)
+        ends = [t_lo, t_hi] + ([t0] if t_lo < t0 < t_hi else [])
+        t = np.concatenate([seed, _critical_times((K1, K2), t_lo, t_hi), ends])
+        a = _xx_amplitude(form, t)
+        g, b = _arc_max(a, t, lo, hi)
+        best = _best_of(M, k, b, t, best)
+        evaluations += t.size
+        cap = state_bound(M, k)
+        full = t >= t0  # a full period of phase: the enumeration is exact
+        if full.any():
+            upper = max(upper, min(cap, 0.5 + float(np.abs(a[full]).max()) + _ROUND_SLACK))
+        if seed.size:
+            lip = abs(K1 - K2) / (2.0 * M) + max(abs(lo), abs(hi)) * (abs(form[0]) + abs(form[1]))
+            cells.append((k, form, lip, cap, seed[:-1], seed[1:], g[:n_t - 1], g[1:n_t]))
+
+    # bisection starts once every k has offered its candidates: the best
+    # incumbent closes the most cells
+    for k, form, lip, cap, tl, tr, gl, gr in cells:
+        for _round in range(_MAX_ROUNDS + 1):
+            bound = np.minimum(
+                cap, 0.5 + 0.5 * (gl + gr) + 0.5 * lip * (tr - tl) + _ROUND_SLACK)
+            live = bound > best.F + _CERT_TOL
+            upper = max(upper, float(bound[~live].max(initial=-math.inf)))
+            if not live.any():
+                break
+            if _round == _MAX_ROUNDS or np.count_nonzero(live) > _MAX_OPEN_CELLS:
+                upper = max(upper, float(bound[live].max()))
+                break
+            tl, tr, gl, gr = tl[live], tr[live], gl[live], gr[live]
+            tm = 0.5 * (tl + tr)
+            gm, bm = _arc_max(_xx_amplitude(form, tm), tm, lo, hi)
+            best = _best_of(M, k, bm, tm, best)
+            evaluations += tm.size
+            tl, tr = np.concatenate([tl, tm]), np.concatenate([tm, tr])
+            gl, gr = np.concatenate([gl, gm]), np.concatenate([gm, gr])
+    assert best is not None
+    return BoxMaximum(best=best, f_upper=max(upper, best.F), evaluations=evaluations)
+
+
+@dataclass(frozen=True)
 class Table1Row:
-    """One row of the XX-model search table."""
+    """One row of the XX-model search table; f_upper certifies f_max."""
 
     M: int
     k: int
     B: float
     t: float
     f_max: float
+    f_upper: float
     f_optimal: float
     f_reference: float
     deviation: float
@@ -356,31 +525,18 @@ def reproduce_table1(
 ) -> list[Table1Row]:
     """Maximize the XX-model fidelity over the reference box for each M.
 
-    Searches B in [0.01, 1], t in [0, 300] and k in 0..M, refines the
-    leading basins, and compares against the stored reference maxima: any
-    row deviating by more than 1e-4 (in either direction) is flagged but
-    still reported.
+    Finds the certified maximum over B in [0.01, 1], t in [0, 300] and k in
+    0..M with xx_box_maximum, ``n_t`` being its seed grid on [0, T0], and
+    compares it against the stored reference maxima: any row deviating by
+    more than 1e-4 (in either direction) is flagged but still reported.
+    ``n_b``, ``refine`` and ``n_candidates`` are accepted and ignored: the
+    search needs no B grid and no refinement.
     """
     rows: list[Table1Row] = []
     for M in ms:
         if M not in XX_REFERENCE_MAXIMA:
             raise ValueError(f"no reference row for M = {M}")
-        box = SearchBox(
-            b_range=(0.01, 1.0),
-            t_range=(0.0, 300.0),
-            lam=0.0,
-            k_candidates=tuple(range(M + 1)),
-            n_b=n_b,
-            n_t=n_t,
-        )
-
-        def objective(k, lam, b, t):  # the lam = 0 box: lam is always 0
-            return xx_fidelity(M, k, b, t)
-
-        if refine:
-            result = scan_and_refine(objective, box, m=M, n_candidates=n_candidates)
-        else:
-            result = grid_scan(objective, box, m=M)
+        result = xx_box_maximum(M, n_t=n_t)
         best = result.best
         f_reference = XX_REFERENCE_MAXIMA[M][0]
         deviation = best.F - f_reference
@@ -391,6 +547,7 @@ def reproduce_table1(
                 B=best.B,
                 t=best.t,
                 f_max=best.F,
+                f_upper=result.f_upper,
                 f_optimal=optimal_pcc_bound(M),
                 f_reference=f_reference,
                 deviation=deviation,

@@ -85,6 +85,15 @@ class TestReducedOuter:
             reduced_outer(broken, 1.0, 0.0)
 
 
+    @pytest.mark.parametrize("reduce", [reduced_outer, reduced_central])
+    @pytest.mark.parametrize("field", ["f1", "g2"])
+    def test_nan_amplitude_rejected(self, reduce, field):
+        amp = evolve_analytic(ModelParams(3, 1.0, 0.0), 1, 2.0)
+        broken = replace(amp, **{field: complex(math.nan, 0.0)})
+        with pytest.raises(FormulaInconsistencyError):
+            reduce(broken, 1.0, 0.0)
+
+
 class TestReducedCentral:
     def test_matches_dense_partial_trace(self):
         rng = np.random.default_rng(3)

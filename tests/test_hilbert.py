@@ -214,6 +214,24 @@ class TestQubitDensityMatrix:
         with pytest.raises(ValueError):
             QubitDensityMatrix(0.5 + 0.1j, 0.0, 0.5 - 0.1j)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            (math.nan, 0.0, math.nan),
+            (0.5, math.nan, 0.5),
+            (0.5, complex(0.0, math.inf), 0.5),
+            (complex(0.5, math.nan), 0.0, 0.5),
+            (math.nan, 0.0, 1.0),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, entries):
+        with pytest.raises(ValueError):
+            QubitDensityMatrix(*entries)
+
+    def test_from_matrix_rejects_nan_off_diagonal(self):
+        with pytest.raises(ValueError):
+            QubitDensityMatrix.from_matrix(np.array([[0.5, math.nan], [math.nan, 0.5]]))
+
     def test_from_matrix_rejects_nonhermitian(self):
         bad = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ longer resolves, fails here instead of surviving as dead surface.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,12 @@ def test_public_names_unique_and_resolvable():
     names = starclone.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(starclone, name)] == []
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only optimize's refinement needs scipy.optimize; it is imported on first use
+    code = "import sys, starclone.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, cwd=PACKAGE.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
