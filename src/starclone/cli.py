@@ -137,7 +137,7 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("refine_tol", "--refine-tol", float, 1e-8,
              help="refinement parameter tolerance"),
         _Opt("candidates", "--candidates", int, 8,
-             help="basins to refine per (k, lambda)"),
+             help="basins to refine in total, at most one per t-basin of a (k, lambda)"),
         *_COMMON_OUT,
     ),
     "table1": (
@@ -411,8 +411,7 @@ def text_optimize(p: dict) -> list[str]:
 
 def cmd_table1(values: dict) -> dict:
     ms = tuple(int(m) for m in values["m"] or range(2, 9))
-    rows = reproduce_table1(ms=ms, n_b=values["n_b"], n_t=values["n_t"],
-                            refine=values["refine"])
+    rows = reproduce_table1(ms=ms, n_t=values["n_t"])
     return {
         "command": "table1",
         "m": list(ms),
@@ -535,8 +534,6 @@ def text_scan(p: dict) -> list[str]:
 
 def cmd_presets(values: dict) -> dict:
     m = values["m"]
-    if m < 2:
-        raise ValueError("presets need M >= 2")
     presets = [preset_optimal(m)]
     if m % 2 == 0:
         presets.append(preset_ancilla_free(m))

@@ -144,17 +144,23 @@ def _normal_form(M: int, k: int, lam: float):
     )
 
 
+def _sine_amplitude(form, t):
+    """a(t) = p+ sin(w+ t) + p- sin(w- t), the coefficient of sin Bt, from a _normal_form."""
+    p_plus, p_minus, _q, omega_plus, omega_minus = form
+    return p_plus * np.sin(omega_plus * t) + p_minus * np.sin(omega_minus * t)
+
+
 def fidelity_closed_form(M: int, k: int, lam: float, B, t):
     """Closed-form equatorial fidelity of the XXZ star, vectorized in B and t.
 
-    F = 1/2 + (p+ sin w+t + p- sin w-t) sin Bt + q (cos w-t - cos w+t) cos Bt
-    with the coefficients of _normal_form; the cos Bt term runs only if q != 0.
+    F = 1/2 + a(t) sin Bt + q (cos w-t - cos w+t) cos Bt with a(t) of _sine_amplitude
+    and the coefficients of _normal_form; the cos Bt term runs only if q != 0.
     """
     t = _require_point(M, k, lam, B, t)
-    p_plus, p_minus, q, omega_plus, omega_minus = _normal_form(M, k, lam)
+    form = _normal_form(M, k, lam)
+    q, omega_plus, omega_minus = form[2:]
     B = B if isinstance(B, float) else np.asarray(B, dtype=np.float64)
-    a = p_plus * np.sin(omega_plus * t) + p_minus * np.sin(omega_minus * t)
-    f = 0.5 + a * np.sin(B * t)
+    f = 0.5 + _sine_amplitude(form, t) * np.sin(B * t)
     if q:
         f = f + q * (np.cos(omega_minus * t) - np.cos(omega_plus * t)) * np.cos(B * t)
     return f

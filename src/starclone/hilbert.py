@@ -64,15 +64,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("states live on different registers")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 class QubitDensityMatrix:
     """Hermitian, unit-trace 2x2 density matrix of a single qubit.
@@ -98,16 +89,6 @@ class QubitDensityMatrix:
             raise ValueError(
                 f"density matrix not positive semidefinite: {self.eigenvalues()}"
             )
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "QubitDensityMatrix":
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
-        if not abs(mat[1, 0] - np.conj(mat[0, 1])) <= _HERMITICITY_ATOL:
-            raise ValueError("matrix is not Hermitian")
-        off = 0.5 * (mat[0, 1] + np.conj(mat[1, 0]))
-        return cls(mat[0, 0], off, mat[1, 1])
 
     @property
     def rho10(self) -> complex:

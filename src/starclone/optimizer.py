@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cloning import _normal_form, optimal_pcc_bound, state_bound, xx_fidelity
+from .cloning import _normal_form, _sine_amplitude, optimal_pcc_bound, state_bound, xx_fidelity
 from .star_model import _require_memory, _require_point
 
 __all__ = [
@@ -117,9 +117,9 @@ class SearchBox:
     """Constraint box and grid resolution for the fidelity search.
 
     ``lam`` is either one fixed value or a (lo, hi) range swept with
-    ``n_lambda`` points.  Defaults resolve the box B in [0.01, 1],
-    t in [0, 300] at steps of (hi - lo)/200 in B and 0.01 in t, fine enough
-    for the narrow large-t resonances of the XX model.
+    ``n_lambda`` points.  The box and grid defaults are those of the
+    ``optimize`` command: B in [0.01, 1] on 201 points, t in [0, 300] on
+    30,001 points.
     """
 
     b_range: tuple[float, float] = (0.01, 1.0)
@@ -220,9 +220,10 @@ def grid_scan(
 ) -> OptResult:
     """Exhaustive evaluation of the box grid with a deterministic argmax.
 
-    ``n_candidates`` > 1 additionally returns the best grid points of up to
-    that many separate time basins per (k, lam) (at least 0.5 apart in t),
-    for multi-start refinement.  ``n_candidates`` < 1 raises ValueError.
+    ``n_candidates`` > 1 additionally returns up to that many grid points in
+    total for multi-start refinement: the best ranked row maxima, at most one
+    per t-basin (points at least 0.5 apart in t) of each (k, lam).
+    ``n_candidates`` < 1 raises ValueError.
     """
     if n_candidates < 1:
         raise ValueError(f"n_candidates must be >= 1, got {n_candidates}")
@@ -298,10 +299,10 @@ def refine_local(
     objective,
     start: tuple[float, float],
     box: SearchBox,
-    k: int | None = None,
-    lam: float | None = None,
+    k: int,
+    lam: float,
 ) -> tuple[float, float, float]:
-    """Simplex ascent from ``start`` = (B, t), clipped to the box.
+    """Simplex ascent from ``start`` = (B, t) at fixed (k, lam), clipped to the box.
 
     Stops once the simplex spread drops below ``box.refine_tol`` or after
     ``box.refine_iters`` iterations; the returned fidelity never falls below
@@ -312,14 +313,6 @@ def refine_local(
         box.t_range[0] <= t0 <= box.t_range[1]
     ):
         raise ValueError(f"start {start!r} lies outside the search box")
-    if k is None:
-        if len(box.k_candidates) != 1:
-            raise ValueError("k is ambiguous: pass it explicitly")
-        k = box.k_candidates[0]
-    if lam is None:
-        if isinstance(box.lam, tuple):
-            raise ValueError("lam is ambiguous: pass it explicitly")
-        lam = box.lam
 
     def negated(x: np.ndarray) -> float:
         return -float(objective(k, lam, float(x[0]), float(x[1])))
@@ -391,12 +384,6 @@ def _arc_max(a: np.ndarray, t: np.ndarray, lo: float, hi: float):
     return np.where(holds, np.abs(a), np.maximum(at_lo, at_hi)), b
 
 
-def _xx_amplitude(form, t):
-    """a(t) = p+ sin(w+ t) + p- sin(w- t) from a lam = 0 _normal_form."""
-    p_plus, p_minus, _q, w_plus, w_minus = form
-    return p_plus * np.sin(w_plus * t) + p_minus * np.sin(w_minus * t)
-
-
 def _critical_times(squares: tuple[int, int], t_lo: float, t_hi: float) -> np.ndarray:
     """The zeros t = (2n+1) pi / (2 sqrt K) of cos(sqrt(K) t) in [t_lo, t_hi], K in squares."""
     times = [np.empty(0)]
@@ -463,7 +450,7 @@ def xx_box_maximum(
         seed = np.linspace(t_lo, t_mid, n_t) if t_lo <= t_mid else np.empty(0)
         ends = [t_lo, t_hi] + ([t0] if t_lo < t0 < t_hi else [])
         t = np.concatenate([seed, _critical_times((K1, K2), t_lo, t_hi), ends])
-        a = _xx_amplitude(form, t)
+        a = _sine_amplitude(form, t)
         g, b = _arc_max(a, t, lo, hi)
         best = _best_of(M, k, b, t, best)
         evaluations += t.size
@@ -490,7 +477,7 @@ def xx_box_maximum(
                 break
             tl, tr, gl, gr = tl[live], tr[live], gl[live], gr[live]
             tm = 0.5 * (tl + tr)
-            gm, bm = _arc_max(_xx_amplitude(form, tm), tm, lo, hi)
+            gm, bm = _arc_max(_sine_amplitude(form, tm), tm, lo, hi)
             best = _best_of(M, k, bm, tm, best)
             evaluations += tm.size
             tl, tr = np.concatenate([tl, tm]), np.concatenate([tm, tr])
@@ -516,21 +503,13 @@ class Table1Row:
     evaluations: int
 
 
-def reproduce_table1(
-    ms=tuple(range(2, 9)),
-    n_b: int = 201,
-    n_t: int = 30001,
-    refine: bool = True,
-    n_candidates: int = 8,
-) -> list[Table1Row]:
+def reproduce_table1(ms=tuple(range(2, 9)), n_t: int = 30001) -> list[Table1Row]:
     """Maximize the XX-model fidelity over the reference box for each M.
 
     Finds the certified maximum over B in [0.01, 1], t in [0, 300] and k in
     0..M with xx_box_maximum, ``n_t`` being its seed grid on [0, T0], and
     compares it against the stored reference maxima: any row deviating by
     more than 1e-4 (in either direction) is flagged but still reported.
-    ``n_b``, ``refine`` and ``n_candidates`` are accepted and ignored: the
-    search needs no B grid and no refinement.
     """
     rows: list[Table1Row] = []
     for M in ms:

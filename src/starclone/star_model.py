@@ -43,7 +43,7 @@ def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> float | np.ndarray:
     M is an integer >= 1 and k an integer in [0, M], a bool being neither;
     lam and B are finite, and t is finite and >= 0, elementwise for arrays.
     Every phase rate of the model is at most s = (M+1)(1 + |lam| + max|B|),
-    so t * s must be finite too, or a phase would overflow into a NaN.
+    so s and t * s must be finite too, or a phase would overflow into a NaN.
     Python scalars skip numpy; an array t costs one min/max pass.  Returns t
     as a float, or as a float64 array.
     """
@@ -63,6 +63,9 @@ def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> float | np.ndarray:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     b_max = abs(B) if isinstance(B, (float, int)) else np.abs(B).max(initial=0.0)
     scale = (M + 1) * (1.0 + abs(lam) + float(b_max))
+    if not math.isfinite(scale):  # t * s would read NaN at t = 0
+        raise ValueError(f"the phase rate s = (M+1)(1 + |lam| + max|B|) overflows at "
+                         f"lam = {float(lam)!r}, max|B| = {float(b_max)!r}")
     if not math.isfinite(float(hi) * scale):
         raise ValueError(
             f"the phase t * s overflows at t = {float(hi)!r}, "

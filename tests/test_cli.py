@@ -507,6 +507,18 @@ class TestPhaseOverflowAndCapacity:
         assert "Traceback" not in captured.err
         assert "nan" not in captured.out.lower()
 
+    @pytest.mark.parametrize("b", ["1e308", "-1e308"])
+    def test_rate_overflow_names_the_field(self, capsys, b):
+        """s itself overflows: the message blames the field, not a t never asked for."""
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fidelity", "--m", "2", "--k", "1", "--t", "1", "--b", b])
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "overflows" in captured.err
+        assert "max|B| = 1e+308" in captured.err
+        assert "t = 0.0" not in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -168,7 +168,7 @@ class TestRefineLocal:
         def objective(k, lam, b, t):
             return -((b - 0.4) ** 2) - (np.asarray(t, dtype=float) - 3.0) ** 2
 
-        b, t, f = refine_local(objective, (0.4, 3.0), box)
+        b, t, f = refine_local(objective, (0.4, 3.0), box, k=0, lam=0.0)
         assert abs(b - 0.4) < 1e-6 and abs(t - 3.0) < 1e-6
         assert f >= -1e-12
 
@@ -189,15 +189,18 @@ class TestRefineLocal:
             _, _, refined = refine_local(objective, start, box, k=0, lam=0.0)
             assert refined >= start_value
 
+    def test_k_and_lam_required(self):
+        box = SearchBox(**TABLE_BOX, k_candidates=(0,))
+        with pytest.raises(TypeError):
+            refine_local(xx_objective(2), (0.5, 10.0), box)
+        with pytest.raises(TypeError):
+            refine_local(xx_objective(2), (0.5, 10.0), box, k=0)
+
     def test_start_outside_box_rejected(self):
         box = SearchBox(**TABLE_BOX, k_candidates=(0,))
         with pytest.raises(ValueError):
             refine_local(xx_objective(2), (2.0, 10.0), box, k=0, lam=0.0)
 
-    def test_ambiguous_k_rejected(self):
-        box = SearchBox(**TABLE_BOX, k_candidates=(0, 1))
-        with pytest.raises(ValueError):
-            refine_local(xx_objective(2), (0.5, 10.0), box)
 
 
 class TestAnalyticMaximizerM2:
@@ -227,7 +230,7 @@ class TestReproduceTable:
         assert by_m[3].f_max <= by_m[3].f_optimal + 1e-10
 
     def test_rows_never_beat_theory(self):
-        rows = reproduce_table1(ms=(2,), n_b=41, n_t=3001)
+        rows = reproduce_table1(ms=(2,), n_t=3001)
         assert rows[0].f_max <= rows[0].f_optimal + 1e-10
 
     def test_unknown_m_rejected(self):
