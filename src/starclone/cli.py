@@ -371,14 +371,14 @@ def cmd_optimize(values: dict) -> dict:
         refine_tol=values["refine_tol"],
     )
     if values["refine"]:
-        result = scan_and_refine(objective, box, m=m, n_candidates=values["candidates"])
+        result = scan_and_refine(objective, box, n_candidates=values["candidates"])
     else:
-        result = grid_scan(objective, box, m=m)
+        result = grid_scan(objective, box)
     best = result.best
     return {
         "command": "optimize",
         "m": m,
-        "k": list(ks),
+        "k": list(box.k_candidates),
         "model": values.get("model") or "xxz",
         "lambda": lam,
         "b_range": list(box.b_range),
@@ -389,7 +389,7 @@ def cmd_optimize(values: dict) -> dict:
         "refine_iters": box.refine_iters,
         "refine_tol": box.refine_tol,
         "candidates": values["candidates"],
-        "best": {"m": best.M, "k": best.k, "lambda": best.lam, "b": best.B,
+        "best": {"m": m, "k": best.k, "lambda": best.lam, "b": best.B,
                  "t": best.t, "fidelity": best.F},
         "evaluations": result.evaluations,
         "refined": result.refined,
@@ -484,6 +484,8 @@ def _parse_sweep(text: str):
         raise ValueError(f"bad sweep axis {text!r}; expected AXIS=LO:HI:N") from None
     if axis not in _SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
+    if not math.isfinite(hi - lo):  # also a non-finite LO or HI
+        raise ValueError(f"sweep {text!r} needs a finite LO, HI and HI - LO")
     if count < 1:
         raise ValueError("sweep point count must be >= 1")
     return axis, (lo, hi, count)

@@ -344,10 +344,11 @@ def universal_clone_matrix(alpha: complex, beta: complex) -> QubitDensityMatrix:
 
 @dataclass(frozen=True)
 class CloneReport:
-    """Per-qubit cloning fidelities for one parameter point and input state."""
+    """Per-qubit cloning fidelities for one parameter point and input state.
 
-    params: ModelParams
-    k: int
+    The model parameters and k are those of ``amplitudes``.
+    """
+
     t: float
     theta: float
     phi: float
@@ -405,8 +406,6 @@ def make_clone_report(
         else:
             equatorial = pcc_fidelity(amp)
     return CloneReport(
-        params=params,
-        k=k,
         t=float(t),
         theta=float(theta),
         phi=float(phi),

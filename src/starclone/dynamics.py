@@ -46,7 +46,7 @@ ORACLE_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BlockAmplitudes:
-    """Transition amplitudes of the evolved star state at time t.
+    """Transition amplitudes of the evolved star state at one time or a t array.
 
     Starting from (alpha|0> + beta|1>)|S(M, k)>, the alpha component evolves
     into f1|0>|S(M,k)> + f2|1>|S(M,k+1)> and the beta component into
@@ -56,7 +56,6 @@ class BlockAmplitudes:
 
     params: ModelParams
     k: int
-    t: float | np.ndarray
     f1: complex | np.ndarray
     f2: complex | np.ndarray
     g1: complex | np.ndarray
@@ -95,7 +94,7 @@ def evolve_analytic(params: ModelParams, k: int, t) -> BlockAmplitudes:
         sin = -1j * phase * t * _sinc(half_eta_t)
         columns.append((phase * np.cos(half_eta_t) + sin * (sign * d), sin * eps))
     (f1, f2), (g2, g1) = columns  # each column lists its diagonal entry first
-    return BlockAmplitudes(params, k, t, f1, f2, g1, g2)
+    return BlockAmplitudes(params, k, f1, f2, g1, g2)
 
 
 # Each oracle input (alpha|0> + beta|1>)|S(M,k)> spans exactly sectors M-k and
@@ -174,7 +173,7 @@ def amplitudes_from_brute_force(
             phases @ ((evecs.conj().T @ ket.amplitudes[basis]).conj() * own_coeffs)
             for ket in (own, partner)]
     f1, f2, g2, g1 = amplitudes
-    amp = BlockAmplitudes(params, k, t, f1, f2, g1, g2)
+    amp = BlockAmplitudes(params, k, f1, f2, g1, g2)
     defect = np.max(amp.unitarity_defect(), initial=0.0)
     if not defect <= ORACLE_RESIDUAL_TOL:  # a NaN fails too
         raise OracleInconsistencyError(

@@ -13,13 +13,13 @@ box.
 
 A generic objective goes through a dense Cartesian grid scan with a
 deterministic argmax, followed by derivative-free simplex refinement clipped
-to the box.  The scan is serial: for each (k, lam) it evaluates the B rows
+to the box.  The scan is serial: for each k it evaluates the B rows
 in blocks, one objective call per block, so a kernel computes its
 B-independent factors once per block.  Objectives are callables
 ``objective(k, lam, B, t)``.  The grid scan passes a column of B values,
-shape (n, 1), against the 1-D t row and expects an (n, n_t) array back (or
-one n_t row when the value does not depend on B); refinement passes
-scalars.  Plain numpy ufunc arithmetic in B and t satisfies both.
+shape (n, 1), against the 1-D t row and expects exactly an (n, n_t) array
+back; refinement passes scalars.  Plain numpy ufunc arithmetic in B and t
+satisfies both.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ _REFERENCE_FLAG_TOL = 1e-4
 # Grid values per objective call: 8 B rows of the 30,001-point paper t grid.
 _BLOCK_ELEMENTS = 2**18
 
-# Smallest t separation of two refinement candidates of one (k, lam).
+# Smallest t separation of two refinement candidates of one k.
 _CANDIDATE_SPACING = 0.5
 
 _TWO_PI = 2.0 * math.pi
@@ -107,28 +107,26 @@ def _as_range(name: str, pair) -> tuple[float, float]:
     if np.shape(pair) != (2,):
         raise ValueError(f"{name} must be two values (lo, hi), got {pair!r}")
     lo, hi = (float(pair[0]), float(pair[1]))
-    if not -math.inf < lo <= hi < math.inf:
-        raise ValueError(f"{name} must be finite with lo <= hi, got ({lo!r}, {hi!r})")
+    if not (-math.inf < lo <= hi < math.inf and math.isfinite(hi - lo)):
+        raise ValueError(
+            f"{name} must be finite with lo <= hi and a finite width, got ({lo!r}, {hi!r})")
     return lo, hi
 
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Constraint box and grid resolution for the fidelity search.
+    """Constraint box and grid resolution for the fidelity search at one lam.
 
-    ``lam`` is either one fixed value or a (lo, hi) range swept with
-    ``n_lambda`` points.  The box and grid defaults are those of the
-    ``optimize`` command: B in [0.01, 1] on 201 points, t in [0, 300] on
-    30,001 points.
+    The box and grid defaults are those of the ``optimize`` command: B in
+    [0.01, 1] on 201 points, t in [0, 300] on 30,001 points.
     """
 
     b_range: tuple[float, float] = (0.01, 1.0)
     t_range: tuple[float, float] = (0.0, 300.0)
-    lam: float | tuple[float, float] = 0.0
+    lam: float = 0.0
     k_candidates: tuple[int, ...] = (0,)
     n_b: int = 201
     n_t: int = 30001
-    n_lambda: int = 1
     refine_iters: int = 400
     refine_tol: float = 1e-8
 
@@ -144,23 +142,17 @@ class SearchBox:
         object.__setattr__(self, "k_candidates", ks)
         if self.n_b < 2 or self.n_t < 2:
             raise ValueError("grid counts n_b and n_t must be >= 2")
-        if isinstance(self.lam, tuple):
-            object.__setattr__(self, "lam", _as_range("lam", self.lam))
-            if self.n_lambda < 2:
-                raise ValueError("a lam range needs n_lambda >= 2")
-        elif not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam!r}")
-        else:
-            object.__setattr__(self, "lam", float(self.lam))
+        if np.ndim(self.lam) or not math.isfinite(self.lam):
+            raise ValueError(f"lam must be one finite value, got {self.lam!r}")
+        object.__setattr__(self, "lam", float(self.lam))
         if not self.refine_tol > 0:
             raise ValueError("refine_tol must be positive")
         if self.refine_iters < 1:
             raise ValueError("refine_iters must be >= 1")
-        n_lam = self.n_lambda if isinstance(self.lam, tuple) else 1
-        rows = len(ks) * n_lam * self.n_b
+        rows = len(ks) * self.n_b
         block = min(self.n_b, max(1, _BLOCK_ELEMENTS // self.n_t))
         # the t grid and one block of B rows, each with a few kernel
-        # temporaries, plus a ranked record per (k, lam, B) row
+        # temporaries, plus a ranked record per (k, B) row
         _require_memory(
             64 * self.n_t * (1 + block) + 384 * rows,
             f"a grid scan of {rows} B rows by {self.n_t} t points",
@@ -172,17 +164,11 @@ class SearchBox:
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_range[0], self.t_range[1], self.n_t)
 
-    def lam_grid(self) -> np.ndarray:
-        if isinstance(self.lam, tuple):
-            return np.linspace(self.lam[0], self.lam[1], self.n_lambda)
-        return np.array([self.lam])
-
 
 @dataclass(frozen=True)
 class BestPoint:
     """One evaluated parameter point and its fidelity."""
 
-    M: int | None
     k: int
     lam: float
     B: float
@@ -215,14 +201,13 @@ def _better(candidate: BestPoint, incumbent: BestPoint | None) -> bool:
 def grid_scan(
     objective,
     box: SearchBox,
-    m: int | None = None,
     n_candidates: int = 1,
 ) -> OptResult:
-    """Exhaustive evaluation of the box grid with a deterministic argmax.
+    """Exhaustive evaluation of the box grid at ``box.lam`` with a deterministic argmax.
 
     ``n_candidates`` > 1 additionally returns up to that many grid points in
     total for multi-start refinement: the best ranked row maxima, at most one
-    per t-basin (points at least 0.5 apart in t) of each (k, lam).
+    per t-basin (points at least 0.5 apart in t) of each k.
     ``n_candidates`` < 1 raises ValueError.
     """
     if n_candidates < 1:
@@ -230,28 +215,27 @@ def grid_scan(
     t_grid = box.t_grid()
     b_grid = box.b_grid()
     per_block = max(1, _BLOCK_ELEMENTS // t_grid.size)
+    lam = box.lam
     points: list[BestPoint] = []
     best: BestPoint | None = None
     for k in box.k_candidates:
-        for lam in box.lam_grid().tolist():
-            for start in range(0, b_grid.size, per_block):
-                bs = b_grid[start : start + per_block]
-                values = np.asarray(objective(k, lam, bs[:, None], t_grid), dtype=np.float64)
-                if values.shape not in ((bs.size, t_grid.size), t_grid.shape):
-                    raise ValueError(
-                        "objective must return one value per (B, t) sample, got "
-                        f"shape {values.shape} for {bs.size} B by {t_grid.size} t"
-                    )
-                values = np.broadcast_to(values, (bs.size, t_grid.size))
-                idx = np.argmax(values, axis=1)  # first maximum: smallest t wins exact ties
-                new_best = None
-                for j, (b, i) in enumerate(zip(bs.tolist(), idx.tolist())):
-                    point = BestPoint(m, k, lam, b, float(t_grid[i]), float(values[j, i]))
-                    points.append(point)
-                    if _better(point, best):
-                        best, new_best = point, j
-                if new_best is not None:  # keep one row, not the whole block
-                    best_row = values[new_best].copy()
+        for start in range(0, b_grid.size, per_block):
+            bs = b_grid[start : start + per_block]
+            values = np.asarray(objective(k, lam, bs[:, None], t_grid), dtype=np.float64)
+            if values.shape != (bs.size, t_grid.size):
+                raise ValueError(
+                    "objective must return one value per (B, t) sample, got "
+                    f"shape {values.shape} for {bs.size} B by {t_grid.size} t"
+                )
+            idx = np.argmax(values, axis=1)  # first maximum: smallest t wins exact ties
+            new_best = None
+            for j, (b, i) in enumerate(zip(bs.tolist(), idx.tolist())):
+                point = BestPoint(k, lam, b, float(t_grid[i]), float(values[j, i]))
+                points.append(point)
+                if _better(point, best):
+                    best, new_best = point, j
+            if new_best is not None:  # keep one row, not the whole block
+                best_row = values[new_best].copy()
     assert best is not None
 
     second = float(np.partition(best_row, -2)[-2])
@@ -270,14 +254,13 @@ def grid_scan(
 
 
 def _basin_candidates(ranked: list[BestPoint], n_candidates: int) -> tuple[BestPoint, ...]:
-    """Top ranked points, at most one per t-basin of each (k, lam) group."""
+    """Top ranked points of one lam, at most one per t-basin of each k."""
     chosen: list[BestPoint] = []
     for point in ranked:
         if len(chosen) >= n_candidates:
             break
         clash = any(
-            c.k == point.k and c.lam == point.lam and abs(c.t - point.t) < _CANDIDATE_SPACING
-            for c in chosen
+            c.k == point.k and abs(c.t - point.t) < _CANDIDATE_SPACING for c in chosen
         )
         if not clash:
             chosen.append(point)
@@ -341,11 +324,10 @@ def refine_local(
 def scan_and_refine(
     objective,
     box: SearchBox,
-    m: int | None = None,
     n_candidates: int = 8,
 ) -> OptResult:
     """Grid scan plus local refinement of the leading basins."""
-    scanned = grid_scan(objective, box, m=m, n_candidates=n_candidates)
+    scanned = grid_scan(objective, box, n_candidates=n_candidates)
     best = scanned.best
     for candidate in scanned.candidates:
         b, t, f = refine_local(
@@ -364,7 +346,6 @@ class BoxMaximum:
 
     best: BestPoint
     f_upper: float
-    evaluations: int
 
 
 def _arc_max(a: np.ndarray, t: np.ndarray, lo: float, hi: float):
@@ -408,7 +389,7 @@ def _best_of(M: int, k: int, b: np.ndarray, t: np.ndarray,
     top = np.flatnonzero(f == f.max())
     i = top[np.lexsort((b[top], t[top]))[0]]
     B, T = float(b[i]), float(t[i])
-    point = BestPoint(M, k, 0.0, B, T, float(xx_fidelity(M, k, B, T)))
+    point = BestPoint(k, 0.0, B, T, float(xx_fidelity(M, k, B, T)))
     return point if _better(point, incumbent) else incumbent
 
 
@@ -427,8 +408,7 @@ def xx_box_maximum(
     Lipschitz constant L = |K1 - K2|/(2M) + max(|lo|, |hi|)(|p+| + |p-|):
     a cell whose bound exceeds the incumbent by more than 1e-10 is bisected,
     and every bound is capped by state_bound(M, k).  Each point is evaluated
-    through xx_fidelity; ties go by BestPoint.tie_key.  ``evaluations``
-    counts the closed-form points.
+    through xx_fidelity; ties go by BestPoint.tie_key.
     """
     lo, hi = _as_range("b_range", b_range)
     t_lo, t_hi = _as_range("t_range", t_range)
@@ -443,7 +423,7 @@ def xx_box_maximum(
                     f"an XX box search with a {n_t}-point seed grid")
 
     best: BestPoint | None = None
-    upper, evaluations, cells = -math.inf, 0, []
+    upper, cells = -math.inf, []
     for k in range(M + 1):
         form = _normal_form(M, k, 0.0)
         K1, K2 = k * (M - k + 1), (M - k) * (k + 1)
@@ -453,7 +433,6 @@ def xx_box_maximum(
         a = _sine_amplitude(form, t)
         g, b = _arc_max(a, t, lo, hi)
         best = _best_of(M, k, b, t, best)
-        evaluations += t.size
         cap = state_bound(M, k)
         full = t >= t0  # a full period of phase: the enumeration is exact
         if full.any():
@@ -479,11 +458,10 @@ def xx_box_maximum(
             tm = 0.5 * (tl + tr)
             gm, bm = _arc_max(_sine_amplitude(form, tm), tm, lo, hi)
             best = _best_of(M, k, bm, tm, best)
-            evaluations += tm.size
             tl, tr = np.concatenate([tl, tm]), np.concatenate([tm, tr])
             gl, gr = np.concatenate([gl, gm]), np.concatenate([gm, gr])
     assert best is not None
-    return BoxMaximum(best=best, f_upper=max(upper, best.F), evaluations=evaluations)
+    return BoxMaximum(best=best, f_upper=max(upper, best.F))
 
 
 @dataclass(frozen=True)
@@ -500,7 +478,6 @@ class Table1Row:
     f_reference: float
     deviation: float
     flagged: bool
-    evaluations: int
 
 
 def reproduce_table1(ms=tuple(range(2, 9)), n_t: int = 30001) -> list[Table1Row]:
@@ -531,7 +508,6 @@ def reproduce_table1(ms=tuple(range(2, 9)), n_t: int = 30001) -> list[Table1Row]
                 f_reference=f_reference,
                 deviation=deviation,
                 flagged=abs(deviation) > _REFERENCE_FLAG_TOL,
-                evaluations=result.evaluations,
             )
         )
     return rows

@@ -108,17 +108,12 @@ class FullHamiltonian:
     states of one magnetization sector (fixed popcount) for a block.
     """
 
-    params: ModelParams
     matrix: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
         self.basis.setflags(write=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _physical_ram_bytes() -> float:
@@ -193,7 +188,7 @@ def build_full_hamiltonian(
         src = rows[bits[:, 0] != bits[:, i]]
         dst = np.searchsorted(basis, basis[src] ^ (1 | (1 << i)))
         matrix[dst, src] += 1.0  # central-outer flip-flop, same popcount
-    return FullHamiltonian(params, matrix, basis)
+    return FullHamiltonian(matrix, basis)
 
 
 def _block_elements(params: ModelParams, m: float) -> tuple[float, float, float]:

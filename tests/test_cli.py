@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,16 @@ class TestOptimizeCommand:
             cli.main(["optimize", "--m", "2", "--k", "5"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("ks, searched", [(["1", "1"], [1]), (["3", "1"], [1, 3])])
+    def test_echoes_the_k_set_it_searched(self, capsys, ks, searched):
+        code, payload = run_json(
+            capsys, "optimize", "--m", "3", "--k", *ks, "--n-b", "3", "--n-t", "3",
+            "--t-range", "0", "1", "--no-refine",
+        )
+        assert code == 0
+        assert payload["k"] == searched
+        assert payload["evaluations"] == len(searched) * 3 * 3
+
 
 class TestTable1Command:
     def test_m2_row(self, capsys):
@@ -438,6 +449,33 @@ class TestInputContract:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
         assert "nan" not in captured.out.lower()
+
+
+class TestNonFiniteEndpoints:
+    """A non-finite endpoint or width exits 2 before numpy can warn."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["scan", "--m", "2", "--k", "1", "--sweep", "t=0:inf:3"], "t=0:inf:3"),
+            (["scan", "--m", "2", "--k", "1", "--sweep", "t=0:1:3",
+              "--sweep", "b=-1e308:1e308:2"], "b=-1e308:1e308:2"),
+            (["optimize", "--m", "2", "--b-range", "-1e308", "1e308", "--n-b", "3",
+              "--n-t", "5", "--t-range", "0", "1"], "b_range"),
+        ],
+        ids=["scan-inf-hi", "scan-width-overflow", "optimize-width-overflow"],
+    )
+    def test_exits_2_naming_the_range(self, capsys, argv, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2
+        assert "RuntimeWarning" not in captured.err
+        assert "nan" not in captured.err.lower()
+        assert named in captured.err
+        assert captured.out == ""
 
 
 class TestNegativeNumberSpellings:

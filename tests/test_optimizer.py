@@ -23,7 +23,7 @@ TABLE_BOX = dict(b_range=(0.01, 1.0), t_range=(0.0, 300.0), lam=0.0)
 
 
 def constant_objective(k, lam, b, t):
-    return np.zeros_like(np.asarray(t, dtype=float))
+    return np.zeros(np.broadcast_shapes(np.shape(b), np.shape(t)))
 
 
 def xx_objective(m):
@@ -44,7 +44,11 @@ class TestSearchBox:
         with pytest.raises(ValueError):
             SearchBox(refine_tol=0.0)
         with pytest.raises(ValueError):
-            SearchBox(lam=(0.0, 1.0), n_lambda=1)
+            SearchBox(lam=(0.0, 1.0))
+
+    def test_overflowing_width_rejected(self):
+        with pytest.raises(ValueError, match="b_range"):
+            SearchBox(b_range=(-1e308, 1e308))
 
     def test_k_candidates_sorted_dedup(self):
         box = SearchBox(k_candidates=(3, 1, 1, 0))
@@ -88,9 +92,8 @@ class TestGridScan:
 
     def test_reference_box_m2(self):
         box = SearchBox(**TABLE_BOX, k_candidates=(0,), n_b=201, n_t=30001)
-        result = grid_scan(xx_objective(2), box, m=2)
+        result = grid_scan(xx_objective(2), box)
         assert abs(result.best.F - 0.853553) < 1e-4
-        assert result.best.M == 2
         assert not result.refined
 
     def test_denser_grid_never_worse(self):
@@ -120,21 +123,8 @@ class TestGridScan:
 
     def test_bound_sanity(self):
         box = SearchBox(**TABLE_BOX, k_candidates=tuple(range(3)), n_b=41, n_t=3001)
-        result = scan_and_refine(xx_objective(2), box, m=2)
+        result = scan_and_refine(xx_objective(2), box)
         assert result.best.F <= state_bound(2, result.best.k) + 1e-10
-
-    def test_lambda_range_scanned(self):
-        box = SearchBox(
-            b_range=(0.0, 1.0), t_range=(0.0, 1.0), lam=(0.0, 2.0),
-            k_candidates=(0,), n_b=3, n_t=3, n_lambda=5,
-        )
-
-        def objective(k, lam, b, t):
-            return lam * np.ones_like(np.asarray(t, dtype=float))
-
-        result = grid_scan(objective, box)
-        assert result.best.lam == 2.0
-        assert result.best.F == 2.0
 
     def test_deterministic_across_worker_counts(self, monkeypatch):
         box = SearchBox(
@@ -145,7 +135,7 @@ class TestGridScan:
         results = []
         for workers in ("1", "3", "7"):
             monkeypatch.setenv("STARCLONE_WORKERS", workers)
-            results.append(grid_scan(objective, box, m=2, n_candidates=4))
+            results.append(grid_scan(objective, box, n_candidates=4))
         assert results[0] == results[1] == results[2]
 
     def test_worker_count_env(self, monkeypatch):
@@ -212,7 +202,7 @@ class TestAnalyticMaximizerM2:
 
     def test_first_order_conditions(self):
         box = SearchBox(**TABLE_BOX, k_candidates=(0,), n_b=201, n_t=30001)
-        result = scan_and_refine(xx_objective(2), box, m=2)
+        result = scan_and_refine(xx_objective(2), box)
         b, t = result.best.B, result.best.t
         product = math.sin(math.sqrt(2.0) * t) * math.sin(b * t)
         assert abs(product + 1.0) < 1e-5
@@ -246,17 +236,17 @@ class TestReproduceTable:
             assert 0 <= k <= m
 
 
-def per_row_grid_scan(objective, box, m=None, n_candidates=1, spacing=0.5):
+def per_row_grid_scan(objective, box, n_candidates=1, spacing=0.5):
     """Reference scan: one objective call per scalar-B row, ranked by the tie rule."""
     t_grid = box.t_grid()
+    lam = box.lam
     points, rows = [], []
     for k in box.k_candidates:
-        for lam in box.lam_grid().tolist():
-            for b in box.b_grid().tolist():
-                values = np.asarray(objective(k, lam, b, t_grid), dtype=float)
-                idx = int(np.argmax(values))
-                points.append(BestPoint(m, k, lam, b, float(t_grid[idx]), float(values[idx])))
-                rows.append(values)
+        for b in box.b_grid().tolist():
+            values = np.asarray(objective(k, lam, b, t_grid), dtype=float)
+            idx = int(np.argmax(values))
+            points.append(BestPoint(k, lam, b, float(t_grid[idx]), float(values[idx])))
+            rows.append(values)
     order = sorted(range(len(points)), key=lambda i: (-points[i].F,) + points[i].tie_key())
     best = points[order[0]]
     second = float(np.partition(rows[order[0]], -2)[-2])
@@ -265,8 +255,7 @@ def per_row_grid_scan(objective, box, m=None, n_candidates=1, spacing=0.5):
     for point in (points[i] for i in order):
         if len(chosen) == n_candidates:
             break
-        if not any(c.k == point.k and c.lam == point.lam and abs(c.t - point.t) < spacing
-                   for c in chosen):
+        if not any(c.k == point.k and abs(c.t - point.t) < spacing for c in chosen):
             chosen.append(point)
     return best, tuple(chosen), best.F - runner_up, len(points) * t_grid.size
 
@@ -288,10 +277,8 @@ class TestBlockContract:
         def objective(k, lam_, b, t):
             return fidelity_closed_form(m, k, lam_, b, t)
 
-        result = grid_scan(objective, box, m=m, n_candidates=4)
-        best, candidates, gap, evaluations = per_row_grid_scan(
-            objective, box, m=m, n_candidates=4
-        )
+        result = grid_scan(objective, box, n_candidates=4)
+        best, candidates, gap, evaluations = per_row_grid_scan(objective, box, n_candidates=4)
         assert result.best == best
         assert result.candidates == candidates
         assert result.runner_up_gap == gap
@@ -299,8 +286,8 @@ class TestBlockContract:
 
     def test_one_call_per_block(self):
         box = SearchBox(
-            b_range=(0.01, 1.0), t_range=(0.0, 20.0), lam=(0.0, 1.0),
-            k_candidates=(0, 1), n_b=20, n_t=30001, n_lambda=3,
+            b_range=(0.01, 1.0), t_range=(0.0, 20.0), lam=0.0,
+            k_candidates=(0, 1), n_b=20, n_t=30001,
         )
         shapes = []
 
@@ -311,8 +298,8 @@ class TestBlockContract:
         grid_scan(counting, box)
         per_block = max(1, optimizer._BLOCK_ELEMENTS // box.n_t)
         assert per_block < box.n_b
-        assert len(shapes) == 2 * 3 * math.ceil(box.n_b / per_block)
-        assert sum(shape[0] for shape in shapes) == 2 * 3 * box.n_b
+        assert len(shapes) == 2 * math.ceil(box.n_b / per_block)
+        assert sum(shape[0] for shape in shapes) == 2 * box.n_b
         assert all(shape[1:] == (1,) for shape in shapes)
 
     @pytest.mark.parametrize(
@@ -343,9 +330,9 @@ class TestCandidateCount:
             return xx_fidelity(2, k, b, t)
 
         with pytest.raises(ValueError, match="n_candidates"):
-            grid_scan(objective, box, m=2, n_candidates=n_candidates)
+            grid_scan(objective, box, n_candidates=n_candidates)
         with pytest.raises(ValueError, match="n_candidates"):
-            scan_and_refine(objective, box, m=2, n_candidates=n_candidates)
+            scan_and_refine(objective, box, n_candidates=n_candidates)
         assert calls == []
 
 

@@ -33,12 +33,12 @@ class TestSectorBlocks:
     def test_blocks_equal_sub_blocks_of_full_matrix(self, m):
         params = random_params(np.random.default_rng(m), m)
         full = build_full_hamiltonian(params)
-        popcount = np.bitwise_count(np.arange(full.dimension))
+        popcount = np.bitwise_count(np.arange(full.matrix.shape[0]))
         for sector in range(m + 2):
             block = build_full_hamiltonian(params, sector=sector)
             expected = np.flatnonzero(popcount == sector)
             assert np.array_equal(block.basis, expected)
-            assert block.dimension == math.comb(m + 1, sector)
+            assert block.matrix.shape[0] == math.comb(m + 1, sector)
             assert np.array_equal(block.matrix, full.matrix[np.ix_(expected, expected)])
 
     def test_full_basis_is_every_index(self):
@@ -78,7 +78,7 @@ class TestSectorEvolution:
 
         def recording_builder(params, max_qubits, sector=None):
             ham = build_full_hamiltonian(params, max_qubits, sector)
-            dims.append((sector, ham.dimension))
+            dims.append((sector, ham.matrix.shape[0]))
             return ham
 
         monkeypatch.setattr(dynamics, "build_full_hamiltonian", recording_builder)

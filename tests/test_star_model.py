@@ -49,7 +49,7 @@ class TestFullHamiltonian:
         rng = np.random.default_rng(1)
         for _ in range(5):
             ham = build_full_hamiltonian(random_params(rng, m_max=5))
-            dim = ham.dimension
+            dim = ham.matrix.shape[0]
             popcount = np.bitwise_count(np.arange(dim, dtype=np.uint64))
             different = popcount[:, None] != popcount[None, :]
             assert np.all(ham.matrix[different] == 0)

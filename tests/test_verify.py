@@ -30,7 +30,7 @@ class TestNanRoutes:
 
         def nan_f1(params, k, t):
             amp = real(params, k, t)
-            return type(amp)(params, k, t, complex(math.nan), amp.f2, amp.g1, amp.g2)
+            return type(amp)(params, k, complex(math.nan), amp.f2, amp.g1, amp.g2)
 
         monkeypatch.setattr(verify, "evolve_analytic", nan_f1)
         result = run_suite("oracle", seed=0, trials=3)

@@ -18,12 +18,12 @@ SEED_TABLE1 = json.loads((ROOT / "perfbench" / "baseline.json").read_text())["se
 def grid_maximum(m, b_range, t_range, n_b, n_t):
     box = SearchBox(b_range=b_range, t_range=t_range, k_candidates=tuple(range(m + 1)),
                     n_b=n_b, n_t=n_t)
-    return grid_scan(lambda k, lam, b, t: xx_fidelity(m, k, b, t), box, m=m).best.F
+    return grid_scan(lambda k, lam, b, t: xx_fidelity(m, k, b, t), box).best.F
 
 
 def assert_contract(result, m, b_range, t_range):
     best = result.best
-    assert best.M == m and 0 <= best.k <= m and best.lam == 0.0
+    assert 0 <= best.k <= m and best.lam == 0.0
     assert b_range[0] <= best.B <= b_range[1]
     assert t_range[0] <= best.t <= t_range[1]
     assert best.F == float(xx_fidelity(m, best.k, best.B, best.t))
