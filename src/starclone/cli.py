@@ -3,10 +3,11 @@
 All times and fields are dimensionless (exchange coupling = 1).  Every
 subcommand accepts ``--config FILE`` holding either flat ``key=value``
 lines or a JSON object (for example a previously saved ``--format json``
-output); explicit flags win over config values.  Each config value is
-spelled as its flag and parsed by the same argparse parser, so it is checked
-exactly like that flag; a JSON null leaves the option unset.  Exit codes:
-0 success, 1 failed verification checks, 2 usage errors (argparse's
+output); explicit flags win over config values.  An option's flag is its
+config key with ``-`` for ``_`` (``max_qubits``, ``--max-qubits``).  Each
+config value is spelled as its flag and parsed by the same argparse parser,
+so it is checked exactly like that flag; a JSON null leaves it unset.  Exit
+codes: 0 success, 1 failed verification checks, 2 usage errors (argparse's
 ``parser.error``), which include an unreadable ``--config`` and an
 unwritable ``--output``.
 
@@ -14,9 +15,9 @@ Each command ``cmd_*`` builds one payload dict from the resolved option
 values: the object that ``--format json`` prints (for ``scan``, its CSV
 columns).  A ``text_*`` function formats that payload as the human lines.
 ``main`` does the rest once: it resolves ``--model``/``--lambda``, turns
-``ValueError`` and ``CapacityError`` into usage errors, renders JSON or
-text to stdout or ``--output``, and exits 1 when the payload says
-``"passed": false``.
+``ValueError``, ``CapacityError`` and ``OracleInconsistencyError`` into usage
+errors, renders JSON or text to stdout or ``--output``, and exits 1 when the
+payload says ``"passed": false``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .cloning import (
     universal_preset,
 )
 from .dynamics import amplitudes_from_brute_force, evolve_analytic
-from .errors import CapacityError
+from .errors import CapacityError, OracleInconsistencyError
 from .optimizer import (
     SearchBox,
     grid_scan,
@@ -75,10 +76,9 @@ def _parse_bool(raw) -> bool:
 
 @dataclass(frozen=True)
 class _Opt:
-    """One option: flag spelling, config key, converter and default."""
+    """One option: config key, converter and default; the flag is ``--key``."""
 
     key: str
-    flag: str
     convert: object = str
     default: object = None
     required: bool = False
@@ -88,94 +88,98 @@ class _Opt:
     append: bool = False
     help: str = ""
 
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
 
 _COMMON_OUT = (
-    _Opt("format", "--format", str, "human", choices=("human", "json"),
+    _Opt("format", str, "human", choices=("human", "json"),
          help="output format"),
-    _Opt("output", "--output", str, None, help="write output to this file"),
+    _Opt("output", str, None, help="write output to this file"),
 )
 
 _MODEL_OPTS = (
-    _Opt("model", "--model", str, "xxz", choices=_MODELS,
+    _Opt("model", str, "xxz", choices=_MODELS,
          help="model shorthand; xx fixes lambda=0, heisenberg fixes lambda=1"),
-    _Opt("lambda", "--lambda", float, None,
+    _Opt("lambda", float, None,
          help="anisotropy (z-coupling relative to the exchange coupling)"),
 )
 
 _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     "fidelity": (
-        _Opt("m", "--m", int, None, required=True, help="number of outer spins"),
-        _Opt("k", "--k", int, None, required=True,
+        _Opt("m", int, None, required=True, help="number of outer spins"),
+        _Opt("k", int, None, required=True,
              help="initial |0> count of the outer register"),
         *_MODEL_OPTS,
-        _Opt("b", "--b", float, 0.0, help="magnetic field"),
-        _Opt("t", "--t", float, None, required=True, help="evolution time"),
-        _Opt("method", "--method", str, "analytic", choices=_METHODS,
+        _Opt("b", float, 0.0, help="magnetic field"),
+        _Opt("t", float, None, required=True, help="evolution time"),
+        _Opt("method", str, "analytic", choices=_METHODS,
              help="evaluation route"),
-        _Opt("theta", "--theta", float, math.pi / 2.0,
+        _Opt("theta", float, math.pi / 2.0,
              help="input-state polar angle (default: equatorial)"),
-        _Opt("phi", "--phi", float, 0.0, help="input-state azimuthal angle"),
-        _Opt("max_qubits", "--max-qubits", int, DEFAULT_MAX_QUBITS,
+        _Opt("phi", float, 0.0, help="input-state azimuthal angle"),
+        _Opt("max_qubits", int, DEFAULT_MAX_QUBITS,
              help="dense-evolution size cap (total spins)"),
         *_COMMON_OUT,
     ),
     "optimize": (
-        _Opt("m", "--m", int, None, required=True, help="number of outer spins"),
-        _Opt("k", "--k", int, None, nargs="*",
+        _Opt("m", int, None, required=True, help="number of outer spins"),
+        _Opt("k", int, None, nargs="*",
              help="k values to scan (default: all of 0..M)"),
         *_MODEL_OPTS,
-        _Opt("b_range", "--b-range", float, (0.01, 1.0), nargs=2,
+        _Opt("b_range", float, (0.01, 1.0), nargs=2,
              help="field box: LO HI"),
-        _Opt("t_range", "--t-range", float, (0.0, 300.0), nargs=2,
+        _Opt("t_range", float, (0.0, 300.0), nargs=2,
              help="time box: LO HI"),
-        _Opt("n_b", "--n-b", int, 201, help="field grid points"),
-        _Opt("n_t", "--n-t", int, 30001, help="time grid points"),
-        _Opt("refine", "--refine", default=True, boolean=True,
+        _Opt("n_b", int, 201, help="field grid points"),
+        _Opt("n_t", int, 30001, help="time grid points"),
+        _Opt("refine", default=True, boolean=True,
              help="refine leading basins with a local simplex"),
-        _Opt("refine_iters", "--refine-iters", int, 400,
+        _Opt("refine_iters", int, 400,
              help="refinement iteration cap"),
-        _Opt("refine_tol", "--refine-tol", float, 1e-8,
+        _Opt("refine_tol", float, 1e-8,
              help="refinement parameter tolerance"),
-        _Opt("candidates", "--candidates", int, 8,
+        _Opt("candidates", int, 8,
              help="basins to refine in total, at most one per t-basin of a (k, lambda)"),
         *_COMMON_OUT,
     ),
     "table1": (
-        _Opt("m", "--m", int, None, nargs="*",
+        _Opt("m", int, None, nargs="*",
              help="network sizes (default: 2..8)"),
-        _Opt("n_b", "--n-b", int, 201,
+        _Opt("n_b", int, 201,
              help="accepted and ignored: the exact search needs no field grid"),
-        _Opt("n_t", "--n-t", int, 30001,
+        _Opt("n_t", int, 30001,
              help="seed grid points on [0, T0], T0 = 2 pi/(B_hi - B_lo), before the "
                   "certified bisection"),
-        _Opt("refine", "--refine", default=True, boolean=True,
+        _Opt("refine", default=True, boolean=True,
              help="accepted and ignored: the exact search needs no refinement"),
         *_COMMON_OUT,
     ),
     "verify": (
-        _Opt("seed", "--seed", int, 0, help="seed for randomized sweeps"),
-        _Opt("trials", "--trials", int, None,
+        _Opt("seed", int, 0, help="seed for randomized sweeps"),
+        _Opt("trials", int, None,
              help="override the sample count of randomized suites"),
         *_COMMON_OUT,
     ),
     "scan": (
-        _Opt("m", "--m", int, None, required=True, help="number of outer spins"),
-        _Opt("k", "--k", int, None, required=True,
+        _Opt("m", int, None, required=True, help="number of outer spins"),
+        _Opt("k", int, None, required=True,
              help="initial |0> count of the outer register"),
         *_MODEL_OPTS,
-        _Opt("b", "--b", float, 0.0, help="fixed field (unless swept)"),
-        _Opt("t", "--t", float, 0.0, help="fixed time (unless swept)"),
-        _Opt("sweep", "--sweep", str, None, append=True,
+        _Opt("b", float, 0.0, help="fixed field (unless swept)"),
+        _Opt("t", float, 0.0, help="fixed time (unless swept)"),
+        _Opt("sweep", str, None, append=True,
              help="sweep axis AXIS=LO:HI:N with AXIS in {t, b, lambda}; repeat for a "
                   "second axis (the first is outer); all t go in one call per (lambda, B)"),
-        _Opt("method", "--method", str, "analytic", choices=_METHODS,
+        _Opt("method", str, "analytic", choices=_METHODS,
              help="evaluation route"),
-        _Opt("max_qubits", "--max-qubits", int, DEFAULT_MAX_QUBITS,
+        _Opt("max_qubits", int, DEFAULT_MAX_QUBITS,
              help="dense-evolution size cap (total spins)"),
-        _Opt("output", "--output", str, None, help="write CSV to this file"),
+        _Opt("output", str, None, help="write CSV to this file"),
     ),
     "presets": (
-        _Opt("m", "--m", int, None, required=True, help="number of outer spins"),
+        _Opt("m", int, None, required=True, help="number of outer spins"),
         *_COMMON_OUT,
     ),
 }
@@ -321,10 +325,10 @@ def cmd_fidelity(values: dict) -> dict:
         "model": values.get("model") or "xxz",
         "lambda": values["lambda"],
         "b": params.B,
-        "t": report.t,
-        "theta": report.theta,
-        "phi": report.phi,
-        "method": report.method,
+        "t": values["t"],
+        "theta": values["theta"],
+        "phi": values["phi"],
+        "method": values["method"],
         "max_qubits": values["max_qubits"],
         "fidelity": report.input_fidelity,
         "equatorial_fidelity": report.equatorial_fidelity,
@@ -486,6 +490,8 @@ def _parse_sweep(text: str):
         raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
     if not math.isfinite(hi - lo):  # also a non-finite LO or HI
         raise ValueError(f"sweep {text!r} needs a finite LO, HI and HI - LO")
+    if axis == "t" and min(lo, hi) < 0.0:
+        raise ValueError(f"sweep {text!r} needs t LO and HI >= 0")
     if count < 1:
         raise ValueError("sweep point count must be >= 1")
     return axis, (lo, hi, count)
@@ -583,7 +589,7 @@ def main(argv=None) -> int:
         if "model" in values:
             values["lambda"] = _resolve_lambda(values)
         payload = build(values)
-    except (ValueError, CapacityError) as exc:
+    except (ValueError, CapacityError, OracleInconsistencyError) as exc:
         parser.error(str(exc))
     rendered = (json.dumps(payload, indent=2) if values.get("format") == "json"
                 else "\n".join(text(payload)))

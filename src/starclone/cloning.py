@@ -346,13 +346,10 @@ def universal_clone_matrix(alpha: complex, beta: complex) -> QubitDensityMatrix:
 class CloneReport:
     """Per-qubit cloning fidelities for one parameter point and input state.
 
-    The model parameters and k are those of ``amplitudes``.
+    The model parameters and k are those of ``amplitudes``; t, the input
+    angles and the method stay with the caller, who passed them in.
     """
 
-    t: float
-    theta: float
-    phi: float
-    method: str
     equatorial_fidelity: float
     input_fidelity: float
     per_qubit_fidelities: tuple[float, ...]
@@ -406,10 +403,6 @@ def make_clone_report(
         else:
             equatorial = pcc_fidelity(amp)
     return CloneReport(
-        t=float(t),
-        theta=float(theta),
-        phi=float(phi),
-        method=method,
         equatorial_fidelity=equatorial,
         input_fidelity=outer_fidelity,
         per_qubit_fidelities=per_qubit,

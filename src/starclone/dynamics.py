@@ -34,7 +34,6 @@ from .star_model import (
 )
 
 __all__ = [
-    "ORACLE_RESIDUAL_TOL",
     "BlockAmplitudes",
     "evolve_analytic",
     "evolve_brute_force",
@@ -176,7 +175,9 @@ def amplitudes_from_brute_force(
     amp = BlockAmplitudes(params, k, f1, f2, g1, g2)
     defect = np.max(amp.unitarity_defect(), initial=0.0)
     if not defect <= ORACLE_RESIDUAL_TOL:  # a NaN fails too
+        shown = (f"t={t!r}" if isinstance(t, float)
+                 else f"t in [{float(t.min())!r}, {float(t.max())!r}]")
         raise OracleInconsistencyError(
-            f"weight {float(defect)!r} outside the block basis (M={M}, k={k}, t={t!r})"
+            f"weight {float(defect)!r} outside the block basis (M={M}, k={k}, {shown})"
         )
     return amp

@@ -34,14 +34,12 @@ from .cloning import _normal_form, _sine_amplitude, optimal_pcc_bound, state_bou
 from .star_model import _require_memory, _require_point
 
 __all__ = [
-    "WORKERS_ENV_VAR",
     "XX_REFERENCE_MAXIMA",
     "SearchBox",
     "BestPoint",
     "OptResult",
     "BoxMaximum",
     "Table1Row",
-    "worker_count",
     "grid_scan",
     "refine_local",
     "scan_and_refine",
@@ -103,13 +101,15 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _as_range(name: str, pair) -> tuple[float, float]:
+def _as_range(name: str, pair, floor: float = -math.inf) -> tuple[float, float]:
     if np.shape(pair) != (2,):
         raise ValueError(f"{name} must be two values (lo, hi), got {pair!r}")
     lo, hi = (float(pair[0]), float(pair[1]))
     if not (-math.inf < lo <= hi < math.inf and math.isfinite(hi - lo)):
         raise ValueError(
             f"{name} must be finite with lo <= hi and a finite width, got ({lo!r}, {hi!r})")
+    if lo < floor:
+        raise ValueError(f"{name} must have lo >= {floor!r}, got ({lo!r}, {hi!r})")
     return lo, hi
 
 
@@ -132,7 +132,7 @@ class SearchBox:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b_range", _as_range("b_range", self.b_range))
-        object.__setattr__(self, "t_range", _as_range("t_range", self.t_range))
+        object.__setattr__(self, "t_range", _as_range("t_range", self.t_range, 0.0))
         if any(isinstance(k, bool) or not isinstance(k, (int, np.integer))
                for k in self.k_candidates):
             raise ValueError(f"k_candidates must be integers, got {self.k_candidates!r}")
@@ -411,7 +411,7 @@ def xx_box_maximum(
     through xx_fidelity; ties go by BestPoint.tie_key.
     """
     lo, hi = _as_range("b_range", b_range)
-    t_lo, t_hi = _as_range("t_range", t_range)
+    t_lo, t_hi = _as_range("t_range", t_range, 0.0)
     _require_point(M, 0, 0.0, np.array([lo, hi]), np.array([t_lo, t_hi]))
     if n_t < 2:
         raise ValueError(f"n_t must be >= 2, got {n_t}")

@@ -59,8 +59,10 @@ def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> float | np.ndarray:
     else:
         t = np.asarray(t, dtype=np.float64)
         lo, hi = t.min(initial=0.0), t.max(initial=0.0)  # a NaN propagates into both
-    if not (0.0 <= lo and hi < math.inf):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    if not (0.0 <= lo and hi < math.inf):  # an array shows as its range, never its repr
+        shown = (repr(t) if isinstance(t, (float, int))
+                 else f"t in [{float(t.min())!r}, {float(t.max())!r}]")
+        raise ValueError(f"t must be finite and >= 0, got {shown}")
     b_max = abs(B) if isinstance(B, (float, int)) else np.abs(B).max(initial=0.0)
     scale = (M + 1) * (1.0 + abs(lam) + float(b_max))
     if not math.isfinite(scale):  # t * s would read NaN at t = 0

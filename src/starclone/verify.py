@@ -247,8 +247,6 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
     return SuiteResult("bounds", seed, tuple(checks))
 
 
-SUITE_NAMES = ("optimal-pcc", "universal", "ancilla-free", "oracle", "bounds")
-
 _SUITES = {
     "optimal-pcc": suite_optimal_pcc,
     "universal": suite_universal,
@@ -256,6 +254,7 @@ _SUITES = {
     "oracle": suite_oracle,
     "bounds": suite_bounds,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, trials: int | None = None) -> SuiteResult:

@@ -50,6 +50,14 @@ class TestSearchBox:
         with pytest.raises(ValueError, match="b_range"):
             SearchBox(b_range=(-1e308, 1e308))
 
+    @pytest.mark.parametrize("search", [
+        lambda: SearchBox(t_range=(-1.0, 1.0)),
+        lambda: optimizer.xx_box_maximum(2, t_range=(-1.0, 1.0)),
+    ])
+    def test_negative_t_range_named(self, search):
+        with pytest.raises(ValueError, match=r"t_range must have lo >= 0\.0, got \(-1\.0, 1\.0\)"):
+            search()
+
     def test_k_candidates_sorted_dedup(self):
         box = SearchBox(k_candidates=(3, 1, 1, 0))
         assert box.k_candidates == (0, 1, 3)

@@ -1,4 +1,5 @@
-"""Every ``starclone`` command shown in the README's shell blocks runs cleanly."""
+"""Every ``starclone`` command in the README's shell blocks, and its Python
+quick start, runs cleanly."""
 
 from __future__ import annotations
 
@@ -42,3 +43,12 @@ def test_readme_command_runs(command, tmp_path, monkeypatch, capsys):
         assert written.read_text().strip()
     else:
         assert out.strip()
+
+
+def test_readme_python_block_runs(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("0.80613")  # the value its comment shows
+    assert len(out) == 6
