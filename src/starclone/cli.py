@@ -11,13 +11,13 @@ codes: 0 success, 1 failed verification checks, 2 usage errors (argparse's
 ``parser.error``), which include an unreadable ``--config`` and an
 unwritable ``--output``.
 
-Each command ``cmd_*`` builds one payload dict from the resolved option
-values: the object that ``--format json`` prints (for ``scan``, its CSV
-columns).  A ``text_*`` function formats that payload as the human lines.
-``main`` does the rest once: it resolves ``--model``/``--lambda``, turns
-``ValueError``, ``CapacityError`` and ``OracleInconsistencyError`` into usage
-errors, renders JSON or text to stdout or ``--output``, and exits 1 when the
-payload says ``"passed": false``.
+A payload is ``"command"``, every resolved option but ``format`` and
+``output``, then the results that ``cmd_*`` returns (``optimize``'s sorted
+``k`` and ``table1``'s defaulted ``m`` replace their echo), so a saved
+``--format json`` output works as ``--config``; ``text_*`` formats it as
+human lines.  ``main`` does the rest: it resolves ``--model``/``--lambda``,
+makes ``ValueError``, ``CapacityError`` and ``OracleInconsistencyError``
+usage errors, prints or writes ``--output``, exits 1 on ``"passed": false``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from .cloning import (
 from .dynamics import amplitudes_from_brute_force, evolve_analytic
 from .errors import CapacityError, OracleInconsistencyError
 from .optimizer import (
+    XX_REFERENCE_MAXIMA,
     SearchBox,
     grid_scan,
     reproduce_table1,
@@ -57,9 +58,10 @@ from .verify import SUITE_NAMES, run_suite
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 
-_MODELS = ("xx", "heisenberg", "xxz")
+_MODELS = {"xx": 0.0, "heisenberg": 1.0, "xxz": None}  # model -> the lambda it fixes
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 _SWEEP_AXES = ("lambda", "b", "t")  # also the axis order of scan's fidelity array
+_SCAN_COLUMNS = ("lambda_column", "b_column", "t_column", "fidelity_column")  # CSV order
 # scan's memory per CSV row: the fidelity array, three mesh copies, four
 # column lists and the row text (about 320 bytes measured with tracemalloc)
 _SCAN_BYTES_PER_ROW = 400
@@ -76,7 +78,7 @@ def _parse_bool(raw) -> bool:
 
 @dataclass(frozen=True)
 class _Opt:
-    """One option: config key, converter and default; the flag is ``--key``."""
+    """One option: config key, converter and default; the flag is ``--key`` unless positional."""
 
     key: str
     convert: object = str
@@ -86,6 +88,7 @@ class _Opt:
     nargs: object = None
     boolean: bool = False
     append: bool = False
+    positional: bool = False
     help: str = ""
 
     @property
@@ -99,32 +102,42 @@ _COMMON_OUT = (
     _Opt("output", str, None, help="write output to this file"),
 )
 
+_M = _Opt("m", int, None, required=True, help="number of outer spins")
+
 _MODEL_OPTS = (
-    _Opt("model", str, "xxz", choices=_MODELS,
+    _Opt("model", str, "xxz", choices=tuple(_MODELS),
          help="model shorthand; xx fixes lambda=0, heisenberg fixes lambda=1"),
     _Opt("lambda", float, None,
          help="anisotropy (z-coupling relative to the exchange coupling)"),
 )
 
+_POINT_OPTS = (  # fidelity and scan
+    _M,
+    _Opt("k", int, None, required=True,
+         help="initial |0> count of the outer register"),
+    *_MODEL_OPTS,
+)
+
+_ROUTE_OPTS = (  # fidelity and scan
+    _Opt("method", str, "analytic", choices=_METHODS,
+         help="evaluation route"),
+    _Opt("max_qubits", int, DEFAULT_MAX_QUBITS,
+         help="dense-evolution size cap (total spins)"),
+)
+
 _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     "fidelity": (
-        _Opt("m", int, None, required=True, help="number of outer spins"),
-        _Opt("k", int, None, required=True,
-             help="initial |0> count of the outer register"),
-        *_MODEL_OPTS,
+        *_POINT_OPTS,
         _Opt("b", float, 0.0, help="magnetic field"),
         _Opt("t", float, None, required=True, help="evolution time"),
-        _Opt("method", str, "analytic", choices=_METHODS,
-             help="evaluation route"),
         _Opt("theta", float, math.pi / 2.0,
              help="input-state polar angle (default: equatorial)"),
         _Opt("phi", float, 0.0, help="input-state azimuthal angle"),
-        _Opt("max_qubits", int, DEFAULT_MAX_QUBITS,
-             help="dense-evolution size cap (total spins)"),
+        *_ROUTE_OPTS,
         *_COMMON_OUT,
     ),
     "optimize": (
-        _Opt("m", int, None, required=True, help="number of outer spins"),
+        _M,
         _Opt("k", int, None, nargs="*",
              help="k values to scan (default: all of 0..M)"),
         *_MODEL_OPTS,
@@ -157,40 +170,26 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         *_COMMON_OUT,
     ),
     "verify": (
+        _Opt("suite", choices=SUITE_NAMES, positional=True, help="verification suite to run"),
         _Opt("seed", int, 0, help="seed for randomized sweeps"),
         _Opt("trials", int, None,
              help="override the sample count of randomized suites"),
         *_COMMON_OUT,
     ),
     "scan": (
-        _Opt("m", int, None, required=True, help="number of outer spins"),
-        _Opt("k", int, None, required=True,
-             help="initial |0> count of the outer register"),
-        *_MODEL_OPTS,
+        *_POINT_OPTS,
         _Opt("b", float, 0.0, help="fixed field (unless swept)"),
         _Opt("t", float, 0.0, help="fixed time (unless swept)"),
         _Opt("sweep", str, None, append=True,
              help="sweep axis AXIS=LO:HI:N with AXIS in {t, b, lambda}; repeat for a "
                   "second axis (the first is outer); all t go in one call per (lambda, B)"),
-        _Opt("method", str, "analytic", choices=_METHODS,
-             help="evaluation route"),
-        _Opt("max_qubits", int, DEFAULT_MAX_QUBITS,
-             help="dense-evolution size cap (total spins)"),
+        *_ROUTE_OPTS,
         _Opt("output", str, None, help="write CSV to this file"),
     ),
     "presets": (
-        _Opt("m", int, None, required=True, help="number of outer spins"),
+        _M,
         *_COMMON_OUT,
     ),
-}
-
-_HELP = {
-    "fidelity": "evaluate cloning fidelities at one parameter point",
-    "optimize": "maximize the equatorial fidelity over a (B, t) box",
-    "table1": "find the certified XX-model box maximum for M = 2..8",
-    "verify": "run a named verification suite",
-    "scan": "emit a CSV fidelity scan over one or two axes",
-    "presets": "print the optimal parameter sets for a given M",
 }
 
 
@@ -201,18 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _OPTIONS.items():
-        sub = subparsers.add_parser(command, help=_HELP[command])
+    for command, (summary, _build, _text) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=summary)
         sub._negative_number_matcher = _NEGATIVE_NUMBER  # argparse's misses -1e-05 and -inf
-        if command == "verify":
-            sub.add_argument("suite", choices=SUITE_NAMES,
-                             help="verification suite to run")
         sub.add_argument("--config", dest="config", default=None,
                          help="key=value or JSON config file; flags win")
-        for opt in opts:
+        for opt in _OPTIONS[command]:
             kwargs: dict = {"dest": opt.key, "default": argparse.SUPPRESS,
                             "help": opt.help}
-            if opt.boolean:
+            if opt.positional:
+                sub.add_argument(opt.key, choices=opt.choices, help=opt.help)
+            elif opt.boolean:
                 sub.add_argument(opt.flag, action=argparse.BooleanOptionalAction,
                                  **kwargs)
             elif opt.append:
@@ -272,10 +270,10 @@ def _resolve_values(command: str, args: argparse.Namespace,
     merged = {opt.key: opt.default for opt in opts}
     if args.config:
         config = _load_config(args.config, parser)
-        argv = [command, args.suite] if command == "verify" else [command]
+        argv = [command, *(getattr(args, opt.key) for opt in opts if opt.positional)]
         try:
             for opt in opts:
-                if config.get(opt.key) is not None:
+                if not opt.positional and config.get(opt.key) is not None:
                     argv += _config_argv(opt, config[opt.key])
         except ValueError as exc:  # an unreadable boolean
             parser.error(f"config key {opt.key!r}: {exc}")
@@ -289,17 +287,13 @@ def _resolve_values(command: str, args: argparse.Namespace,
 
 
 def _resolve_lambda(values: dict) -> float:
-    model = values.get("model") or "xxz"
-    lam = values.get("lambda")
-    if model == "xx":
-        if lam is not None and lam != 0.0:
-            raise ValueError("model 'xx' fixes lambda = 0; conflicting --lambda given")
-        return 0.0
-    if model == "heisenberg":
-        if lam is not None and lam != 1.0:
-            raise ValueError("model 'heisenberg' fixes lambda = 1; conflicting --lambda given")
-        return 1.0
-    return 0.0 if lam is None else float(lam)
+    model, lam = values["model"], values["lambda"]
+    fixed = _MODELS[model]
+    if fixed is None:
+        return 0.0 if lam is None else float(lam)
+    if lam is not None and lam != fixed:
+        raise ValueError(f"model {model!r} fixes lambda = {fixed:g}; conflicting --lambda given")
+    return fixed
 
 
 def _complex_json(z: complex) -> dict:
@@ -319,18 +313,7 @@ def cmd_fidelity(values: dict) -> dict:
     )
     amp = report.amplitudes
     return {
-        "command": "fidelity",
-        "m": values["m"],
-        "k": values["k"],
-        "model": values.get("model") or "xxz",
-        "lambda": values["lambda"],
-        "b": params.B,
-        "t": values["t"],
-        "theta": values["theta"],
-        "phi": values["phi"],
-        "method": values["method"],
-        "max_qubits": values["max_qubits"],
-        "fidelity": report.input_fidelity,
+        "fidelity": report.per_qubit_fidelities[1],
         "equatorial_fidelity": report.equatorial_fidelity,
         "per_qubit_fidelities": list(report.per_qubit_fidelities),
         "amplitudes": {name: _complex_json(getattr(amp, name))
@@ -380,19 +363,7 @@ def cmd_optimize(values: dict) -> dict:
         result = grid_scan(objective, box)
     best = result.best
     return {
-        "command": "optimize",
-        "m": m,
         "k": list(box.k_candidates),
-        "model": values.get("model") or "xxz",
-        "lambda": lam,
-        "b_range": list(box.b_range),
-        "t_range": list(box.t_range),
-        "n_b": box.n_b,
-        "n_t": box.n_t,
-        "refine": values["refine"],
-        "refine_iters": box.refine_iters,
-        "refine_tol": box.refine_tol,
-        "candidates": values["candidates"],
         "best": {"m": m, "k": best.k, "lambda": best.lam, "b": best.B,
                  "t": best.t, "fidelity": best.F},
         "evaluations": result.evaluations,
@@ -414,14 +385,10 @@ def text_optimize(p: dict) -> list[str]:
 
 
 def cmd_table1(values: dict) -> dict:
-    ms = tuple(int(m) for m in values["m"] or range(2, 9))
+    ms = values["m"] or tuple(XX_REFERENCE_MAXIMA)
     rows = reproduce_table1(ms=ms, n_t=values["n_t"])
     return {
-        "command": "table1",
         "m": list(ms),
-        "n_b": values["n_b"],
-        "n_t": values["n_t"],
-        "refine": values["refine"],
         "rows": [
             {"m": row.M, "k": row.k, "b": row.B, "t": row.t, "f_max": row.f_max,
              "f_upper": row.f_upper, "f_optimal": row.f_optimal, "f_reference": row.f_reference,
@@ -451,16 +418,8 @@ def text_table1(p: dict) -> list[str]:
 def cmd_verify(values: dict) -> dict:
     result = run_suite(values["suite"], seed=values["seed"], trials=values["trials"])
     return {
-        "command": "verify",
-        "suite": values["suite"],
-        "seed": values["seed"],
-        "trials": values["trials"],
         "passed": result.passed,
-        "checks": [
-            {"label": check.label, "residual": check.residual,
-             "tolerance": check.tolerance, "passed": check.passed}
-            for check in result.checks
-        ],
+        "checks": [{**asdict(check), "passed": check.passed} for check in result.checks],
     }
 
 
@@ -505,9 +464,7 @@ def cmd_scan(values: dict) -> dict:
     sweeps = [_parse_sweep(entry) for entry in sweeps_raw]
     if len(sweeps) == 2 and sweeps[0][0] == sweeps[1][0]:
         raise ValueError("the two sweep axes must differ")
-    if any(axis == "lambda" for axis, _ in sweeps) and values.get("model") in (
-        "xx", "heisenberg",
-    ):
+    if any(axis == "lambda" for axis, _ in sweeps) and _MODELS[values["model"]] is not None:
         raise ValueError("cannot sweep lambda while the model shorthand fixes it")
     m, k, method = values["m"], values["k"], values["method"]
     n_rows = math.prod(count for _, (_, _, count) in sweeps)
@@ -529,15 +486,14 @@ def cmd_scan(values: dict) -> dict:
     swept = [_SWEEP_AXES.index(axis) for axis, _ in sweeps]
     mesh = (*np.meshgrid(lams, bs, ts, indexing="ij"), fidelity)
     columns = [np.moveaxis(a, swept, range(len(swept))).ravel().tolist() for a in mesh]
-    return {"M": m, "k": k, **dict(zip(("lambda", "B", "t", "fidelity"), columns)),
-            "method": method}
+    return dict(zip(_SCAN_COLUMNS, columns))
 
 
 def text_scan(p: dict) -> list[str]:
-    m, k, method = p["M"], p["k"], p["method"]
+    m, k, method = p["m"], p["k"], p["method"]
     return ["M,k,lambda,B,t,fidelity,method"] + [
         f"{m},{k},{lam:.12g},{b:.12g},{t:.12g},{f:.12g},{method}"
-        for lam, b, t, f in zip(p["lambda"], p["B"], p["t"], p["fidelity"])]
+        for lam, b, t, f in zip(*(p[name] for name in _SCAN_COLUMNS))]
 
 
 def cmd_presets(values: dict) -> dict:
@@ -548,8 +504,6 @@ def cmd_presets(values: dict) -> dict:
     presets.append(preset_k_equals_m(m))
     presets.append(universal_preset())
     return {
-        "command": "presets",
-        "m": m,
         "presets": [
             {"name": preset.name, "m": preset.M, "k": preset.k, "lambda": preset.lam,
              "b": preset.B, "t": preset.t, "fidelity": preset.fidelity,
@@ -569,14 +523,16 @@ def text_presets(p: dict) -> list[str]:
     ]
 
 
-# command -> (build the payload from resolved values, format it as text lines)
+# command -> (help, build its results from resolved values, format the payload as text)
 _COMMANDS = {
-    "fidelity": (cmd_fidelity, text_fidelity),
-    "optimize": (cmd_optimize, text_optimize),
-    "table1": (cmd_table1, text_table1),
-    "verify": (cmd_verify, text_verify),
-    "scan": (cmd_scan, text_scan),
-    "presets": (cmd_presets, text_presets),
+    "fidelity": ("evaluate cloning fidelities at one parameter point",
+                 cmd_fidelity, text_fidelity),
+    "optimize": ("maximize the equatorial fidelity over a (B, t) box",
+                 cmd_optimize, text_optimize),
+    "table1": ("find the certified XX-model box maximum for M = 2..8", cmd_table1, text_table1),
+    "verify": ("run a named verification suite", cmd_verify, text_verify),
+    "scan": ("emit a CSV fidelity scan over one or two axes", cmd_scan, text_scan),
+    "presets": ("print the optimal parameter sets for a given M", cmd_presets, text_presets),
 }
 
 
@@ -584,11 +540,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     values = _resolve_values(args.command, args, parser)
-    build, text = _COMMANDS[args.command]
+    _summary, build, text = _COMMANDS[args.command]
     try:
         if "model" in values:
             values["lambda"] = _resolve_lambda(values)
-        payload = build(values)
+        payload = {"command": args.command, **{
+            key: value for key, value in values.items() if key not in ("format", "output")}}
+        payload.update(build(values))
     except (ValueError, CapacityError, OracleInconsistencyError) as exc:
         parser.error(str(exc))
     rendered = (json.dumps(payload, indent=2) if values.get("format") == "json"

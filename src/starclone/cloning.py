@@ -347,11 +347,11 @@ class CloneReport:
     """Per-qubit cloning fidelities for one parameter point and input state.
 
     The model parameters and k are those of ``amplitudes``; t, the input
-    angles and the method stay with the caller, who passed them in.
+    angles and the method stay with the caller, who passed them in.  An
+    outer clone's fidelity is ``per_qubit_fidelities[1]``.
     """
 
     equatorial_fidelity: float
-    input_fidelity: float
     per_qubit_fidelities: tuple[float, ...]
     amplitudes: BlockAmplitudes
 
@@ -387,7 +387,6 @@ def make_clone_report(
             fidelity_pure(reduce_qubit(psi, q), alpha, beta)
             for q in range(params.n_qubits)
         )
-        outer_fidelity = per_qubit[1]
     else:
         amp = evolve_analytic(params, k, t)
         outer_fidelity = fidelity_pure(reduced_outer(amp, alpha, beta), alpha, beta)
@@ -404,7 +403,6 @@ def make_clone_report(
             equatorial = pcc_fidelity(amp)
     return CloneReport(
         equatorial_fidelity=equatorial,
-        input_fidelity=outer_fidelity,
         per_qubit_fidelities=per_qubit,
         amplitudes=amp,
     )

@@ -27,6 +27,7 @@ from .star_model import (
     DEFAULT_MAX_QUBITS,
     ModelParams,
     _block_elements,
+    _rate_bound,
     _require_capacity,
     _require_memory,
     _require_point,
@@ -150,7 +151,10 @@ def amplitudes_from_brute_force(
     and |0>|S(M,k-1)> in sector M - k + 1.  With that sector's eigensystem
     (E, V), <b|exp(-iHt)|a> = sum_j conj(V^H b)_j (V^H a)_j exp(-i E_j t): one
     phase-matrix product for all t.  A unitarity defect above
-    ORACLE_RESIDUAL_TOL, or a NaN, raises OracleInconsistencyError.
+    ORACLE_RESIDUAL_TOL, or a NaN, raises OracleInconsistencyError.  Its
+    message says that the point lies beyond the route's resolution when the
+    rounding of the largest phase, u * t * s with u = 2.2e-16 and s the rate
+    bound of _require_point, reaches that tolerance.
     """
     t = _require_point(params.M, k, params.lam, params.B, t)
     _require_capacity(params.n_qubits, max_qubits)
@@ -177,7 +181,10 @@ def amplitudes_from_brute_force(
     if not defect <= ORACLE_RESIDUAL_TOL:  # a NaN fails too
         shown = (f"t={t!r}" if isinstance(t, float)
                  else f"t in [{float(t.min())!r}, {float(t.max())!r}]")
-        raise OracleInconsistencyError(
-            f"weight {float(defect)!r} outside the block basis (M={M}, k={k}, {shown})"
-        )
+        message = f"weight {float(defect)!r} outside the block basis (M={M}, k={k}, {shown})"
+        phase = float(np.max(t, initial=0.0)) * _rate_bound(M, params.lam, abs(params.B))
+        if np.finfo(np.float64).eps * phase >= ORACLE_RESIDUAL_TOL:
+            message += (f": the point is beyond the dense route's resolution, t * s = "
+                        f"{phase:.3g} (s = (M+1)(1 + |lam| + |B|))")
+        raise OracleInconsistencyError(message)
     return amp

@@ -418,9 +418,12 @@ def xx_box_maximum(
     t0 = _TWO_PI / (hi - lo) if hi > lo else math.inf
     t_mid = min(t0, t_hi)
     w_max = math.sqrt(max(k * (M - k + 1) for k in range(M + 1)))
-    # one k at a time: the seed grid and the critical times, ~12 float arrays
-    _require_memory(96 * (n_t + 2 * math.ceil(t_hi * w_max / math.pi + 2)),
-                    f"an XX box search with a {n_t}-point seed grid")
+    n = n_t + 2 * math.ceil(t_hi * w_max / math.pi + 2) + 3  # candidate times of one k
+    # float64 arrays: the seed grid and g of every k stay alive until the
+    # bisection ends; next to them, one k's candidates or one bisection round
+    # over C cells need at most ~30 arrays of n or C values
+    kept = 8 * (M + 1) * (n_t + n)
+    _require_memory(kept + 240 * n, f"an XX box search with a {n_t}-point seed grid")
 
     best: BestPoint | None = None
     upper, cells = -math.inf, []
@@ -445,6 +448,7 @@ def xx_box_maximum(
     # incumbent closes the most cells
     for k, form, lip, cap, tl, tr, gl, gr in cells:
         for _round in range(_MAX_ROUNDS + 1):
+            _require_memory(kept + 240 * tl.size, f"an XX box bisection of {tl.size} cells")
             bound = np.minimum(
                 cap, 0.5 + 0.5 * (gl + gr) + 0.5 * lip * (tr - tl) + _ROUND_SLACK)
             live = bound > best.F + _CERT_TOL

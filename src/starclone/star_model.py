@@ -64,7 +64,7 @@ def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> float | np.ndarray:
                  else f"t in [{float(t.min())!r}, {float(t.max())!r}]")
         raise ValueError(f"t must be finite and >= 0, got {shown}")
     b_max = abs(B) if isinstance(B, (float, int)) else np.abs(B).max(initial=0.0)
-    scale = (M + 1) * (1.0 + abs(lam) + float(b_max))
+    scale = _rate_bound(M, lam, b_max)
     if not math.isfinite(scale):  # t * s would read NaN at t = 0
         raise ValueError(f"the phase rate s = (M+1)(1 + |lam| + max|B|) overflows at "
                          f"lam = {float(lam)!r}, max|B| = {float(b_max)!r}")
@@ -74,6 +74,11 @@ def _require_point(M, k=0, lam=0.0, B=0.0, t=0.0) -> float | np.ndarray:
             f"s = (M+1)(1 + |lam| + max|B|) = {scale:.3g}"
         )
     return float(t) if isinstance(t, (float, int)) else t
+
+
+def _rate_bound(M, lam, b_max) -> float:
+    """s = (M+1)(1 + |lam| + max|B|), a bound on every phase rate of the model."""
+    return (M + 1) * (1.0 + abs(lam) + float(b_max))
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,15 @@ from .cloning import (
     pcc_fidelity,
     preset_ancilla_free,
     preset_optimal,
+    reduced_central,
+    reduced_outer,
     state_bound,
     universal_clone_matrix,
     universal_preset,
+    xx_fidelity,
 )
 from .dynamics import amplitudes_from_brute_force, evolve_analytic, evolve_brute_force
-from .hilbert import fidelity_pure, prepare_initial, reduce_qubit
+from .hilbert import QubitDensityMatrix, fidelity_pure, prepare_initial, reduce_qubit
 from .star_model import ModelParams
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suite"]
@@ -44,8 +47,6 @@ class Check:
 
 @dataclass(frozen=True)
 class SuiteResult:
-    suite: str
-    seed: int
     checks: tuple[Check, ...]
 
     @property
@@ -61,6 +62,11 @@ def _worst(residuals) -> float:
     return float(np.max(np.fromiter(residuals, dtype=np.float64), initial=0.0))
 
 
+def _entry_errors(a: QubitDensityMatrix, b: QubitDensityMatrix) -> tuple[float, float, float]:
+    """|a - b| over the three independent entries of two qubit density matrices."""
+    return abs(a.rho00 - b.rho00), abs(a.rho01 - b.rho01), abs(a.rho11 - b.rho11)
+
+
 def _oracle_samples(rng: np.random.Generator, trials: int, m_max: int,
                     lam_max: float, t_max: float):
     """Draws (M, k, lam, B, t) with M <= m_max, |lam| <= lam_max, |B| <= 5, t <= t_max."""
@@ -74,11 +80,17 @@ def _oracle_samples(rng: np.random.Generator, trials: int, m_max: int,
 
 
 def suite_oracle(seed: int = 0, trials: int | None = None) -> SuiteResult:
-    """Analytic block propagation against dense-evolution projections."""
+    """Analytic block propagation against dense-evolution projections.
+
+    At the same points, the two special-case kernels must equal the general
+    closed form: xx_fidelity at lam = 0, and kM_fidelity, at the drawn lam,
+    wherever the draw has k = M.
+    """
     trials = 500 if trials is None else trials
     rng = np.random.default_rng(seed)
-    amp_errors, closed_analytic, closed_dense = [], [], []
-    for M, k, lam, B, t in _oracle_samples(rng, trials, 6, 5.0, 50.0):
+    samples = list(_oracle_samples(rng, trials, 6, 5.0, 50.0))
+    amp_errors, closed_analytic, closed_dense, kernel_errors = [], [], [], []
+    for M, k, lam, B, t in samples:
         params = ModelParams(M, lam, B)
         analytic = evolve_analytic(params, k, t)
         dense = amplitudes_from_brute_force(params, k, t)
@@ -91,9 +103,16 @@ def suite_oracle(seed: int = 0, trials: int | None = None) -> SuiteResult:
         closed = float(fidelity_closed_form(M, k, lam, B, t))
         closed_analytic.append(abs(closed - pcc_fidelity(analytic)))
         closed_dense.append(abs(closed - pcc_fidelity(dense)))
+        if k == M:
+            kernel_errors.append(abs(float(kM_fidelity(M, lam, B, t)) - closed))
+    by_mk = {}  # xx_fidelity takes each (M, k)'s (B, t) points in one call
+    for M, k, _lam, B, t in samples:
+        by_mk.setdefault((M, k), []).append((B, t))
+    for (M, k), points in by_mk.items():
+        B, t = np.array(points).T
+        kernel_errors += np.abs(
+            xx_fidelity(M, k, B, t) - fidelity_closed_form(M, k, 0.0, B, t)).tolist()
     return SuiteResult(
-        "oracle",
-        seed,
         (
             Check(
                 f"block amplitudes vs dense projections ({trials} trials)",
@@ -102,6 +121,8 @@ def suite_oracle(seed: int = 0, trials: int | None = None) -> SuiteResult:
             ),
             Check("closed form vs block propagation", _worst(closed_analytic), 1e-9),
             Check("closed form vs dense projections", _worst(closed_dense), 1e-9),
+            Check("xx (lam = 0) and kM (k = M) kernels vs closed form",
+                  _worst(kernel_errors), 1e-12),
         ),
     )
 
@@ -127,7 +148,7 @@ def suite_optimal_pcc(seed: int = 0, trials: int | None = None) -> SuiteResult:
         checks.append(
             Check(f"M={M} dense evolution vs optimal bound", abs(dense - bound), 1e-8)
         )
-    return SuiteResult("optimal-pcc", seed, tuple(checks))
+    return SuiteResult(tuple(checks))
 
 
 def suite_universal(seed: int = 0, trials: int | None = None) -> SuiteResult:
@@ -136,7 +157,8 @@ def suite_universal(seed: int = 0, trials: int | None = None) -> SuiteResult:
     rng = np.random.default_rng(seed)
     preset = universal_preset()
     params = preset.params()
-    matrix_errors = []
+    amp = evolve_analytic(params, preset.k, preset.t)
+    matrix_errors, outer_errors, central_errors = [], [], []
     fidelities = np.empty(trials)
     for i in range(trials):
         theta = math.acos(float(rng.uniform(-1.0, 1.0)))
@@ -148,16 +170,20 @@ def suite_universal(seed: int = 0, trials: int | None = None) -> SuiteResult:
         rho = reduce_qubit(psi, 1)
         reference = universal_clone_matrix(alpha, beta)
         matrix_errors.append(np.abs(rho.matrix - reference.matrix).max())
+        outer_errors += _entry_errors(rho, reduced_outer(amp, alpha, beta))
+        central_errors += _entry_errors(reduce_qubit(psi, 0), reduced_central(amp, alpha, beta))
         fidelities[i] = fidelity_pure(rho, alpha, beta)
     return SuiteResult(
-        "universal",
-        seed,
         (
             Check(
                 f"clone matrix vs closed form ({trials} random inputs)",
                 _worst(matrix_errors),
                 1e-10,
             ),
+            Check("outer matrix from block amplitudes vs dense qubit 1",
+                  _worst(outer_errors), 1e-10),
+            Check("central matrix from block amplitudes vs dense qubit 0",
+                  _worst(central_errors), 1e-10),
             Check(
                 "fidelity vs 5/6", float(np.abs(fidelities - 5.0 / 6.0).max()), 1e-10
             ),
@@ -190,7 +216,7 @@ def suite_ancilla_free(seed: int = 0, trials: int | None = None) -> SuiteResult:
                 1e-9,
             )
         )
-    return SuiteResult("ancilla-free", seed, tuple(checks))
+    return SuiteResult(tuple(checks))
 
 
 def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
@@ -244,7 +270,7 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
     checks.append(
         Check("optimal presets attain the interference bound (2 <= M <= 8)", attained, 1e-12)
     )
-    return SuiteResult("bounds", seed, tuple(checks))
+    return SuiteResult(tuple(checks))
 
 
 _SUITES = {

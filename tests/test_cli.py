@@ -104,16 +104,25 @@ class TestFidelityCommand:
 
 
 class TestConfigFiles:
-    def test_json_roundtrip_bit_identical(self, capsys, tmp_path):
-        args = ["fidelity", "--m", "3", "--k", "1", "--lambda", "1.25",
-                "--b", "0.4", "--t", "17.5", "--theta", "0.9", "--phi", "2.2"]
-        code, first = run_cli(capsys, *args, "--format", "json")
+    # (command and positionals, options): every command with a JSON output
+    ROUNDTRIP = [
+        (["fidelity"], ["--m", "3", "--k", "1", "--lambda", "1.25", "--b", "0.4", "--t", "17.5",
+                        "--theta", "0.9", "--phi", "2.2"]),
+        (["optimize"], ["--m", "2", "--model", "xx", "--k", "0", "--t-range", "0", "20",
+                        "--n-b", "21", "--n-t", "501"]),
+        (["table1"], ["--m", "3", "2", "--n-t", "1001", "--no-refine"]),
+        (["verify", "universal"], ["--seed", "2", "--trials", "5"]),
+        (["presets"], ["--m", "4"]),
+    ]
+
+    @pytest.mark.parametrize("command, options", ROUNDTRIP,
+                             ids=[command[0] for command, _ in ROUNDTRIP])
+    def test_json_roundtrip_bit_identical(self, capsys, tmp_path, command, options):
+        code, first = run_cli(capsys, *command, *options, "--format", "json")
         assert code == 0
         config = tmp_path / "run.json"
         config.write_text(first)
-        code, second = run_cli(
-            capsys, "fidelity", "--config", str(config), "--format", "json"
-        )
+        code, second = run_cli(capsys, *command, "--config", str(config), "--format", "json")
         assert code == 0
         assert first == second
 
@@ -136,19 +145,6 @@ class TestConfigFiles:
         code, payload = run_json(capsys, "fidelity", "--config", str(config))
         assert code == 0
         assert abs(payload["fidelity"] - 0.853553) < 5e-6
-
-    def test_optimize_roundtrip(self, capsys, tmp_path):
-        args = ["optimize", "--m", "2", "--model", "xx", "--k", "0",
-                "--t-range", "0", "20", "--n-b", "21", "--n-t", "501"]
-        code, first = run_cli(capsys, *args, "--format", "json")
-        assert code == 0
-        config = tmp_path / "opt.json"
-        config.write_text(first)
-        code, second = run_cli(
-            capsys, "optimize", "--config", str(config), "--format", "json"
-        )
-        assert code == 0
-        assert first == second
 
     def test_malformed_config_is_usage_error(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -279,7 +275,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert payload["passed"] is True
-        assert len(payload["checks"]) == 3
+        assert len(payload["checks"]) == 5
 
     def test_human_output_lists_residuals(self, capsys):
         code, out = run_cli(capsys, "verify", "ancilla-free")
@@ -289,7 +285,7 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         failing = SuiteResult(
-            "universal", 0, (Check("synthetic failing check", 1.0, 1e-10),)
+            (Check("synthetic failing check", 1.0, 1e-10),)
         )
         monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: failing)
         code, out = run_cli(capsys, "verify", "universal")
@@ -605,7 +601,7 @@ class TestRenderPath:
 
     def test_failing_suite_json_exits_1(self, capsys, monkeypatch):
         failing = SuiteResult(
-            "universal", 0, (Check("synthetic failing check", 1.0, 1e-10),)
+            (Check("synthetic failing check", 1.0, 1e-10),)
         )
         monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: failing)
         code, payload = run_json(capsys, "verify", "universal")

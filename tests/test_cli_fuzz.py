@@ -3,10 +3,12 @@
 Every numeric option of ``fidelity``, ``scan`` and ``optimize`` is drawn from
 a pool of edge values (NaN, infinities, zero, a negative, a subnormal, huge
 magnitudes) with M <= 4, at most 5 grid points per axis and all three
-methods.  Whatever the point, ``main`` returns 0 or exits 2 with a one-line
-message: no other exception, no NaN printed on success, no numpy array repr
-in a message and no warning.  Points that once broke that contract are
-listed explicitly, each with the part of its message that names the cause.
+methods.  A second, brute-only draw puts |lambda| at 1e12 or 1e300, where the
+dense route loses resolution.  Whatever the point, ``main`` returns 0 or
+exits 2 with a one-line message: no other exception, no NaN printed on
+success, no numpy array repr in a message and no warning.  Points that once
+broke that contract are listed explicitly, each with the part of its message
+that names the cause.
 """
 
 from __future__ import annotations
@@ -84,6 +86,22 @@ def argvs(draw, command):
 @given(data=st.data())
 def test_edge_values_exit_cleanly(command, data):
     assert_clean(data.draw(argvs(command), label="argv"))
+
+
+@st.composite
+def dense_extreme_argvs(draw):
+    """Brute ``fidelity`` at a huge |lambda|, where the dense route loses resolution."""
+    m = draw(st.sampled_from((3, 4)))
+    return ["fidelity", "--m", str(m), "--k", str(draw(st.integers(1, m - 1))),
+            "--lambda", draw(st.sampled_from(("1e12", "-1e12", "1e300"))),
+            "--b", draw(st.sampled_from(("0", "0.5", "-1", "2"))),
+            "--t", draw(st.sampled_from(("0.5", "1", "2"))), "--method", "brute"]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dense_route_extremes_exit_cleanly(data):
+    assert_clean(data.draw(dense_extreme_argvs(), label="argv"))
 
 
 @pytest.mark.parametrize("argv, named", [

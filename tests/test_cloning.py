@@ -450,7 +450,7 @@ class TestCloneReport:
         params = ModelParams(4, 0.0, 0.0144940)
         report = make_clone_report(params, 1, 108.375, method="closed-form")
         assert abs(report.equatorial_fidelity - 0.806131) < 5e-6
-        assert abs(report.input_fidelity - report.equatorial_fidelity) < 1e-12
+        assert abs(report.per_qubit_fidelities[1] - report.equatorial_fidelity) < 1e-12
 
     def test_closed_form_rejects_non_equatorial(self):
         with pytest.raises(ValueError):

@@ -186,3 +186,18 @@ class TestOracleResidual:
         for t in (1.0, np.array([0.5, 1.0, 2.0])):
             with pytest.raises(OracleInconsistencyError):
                 amplitudes_from_brute_force(ModelParams(3, 0.4, 0.2), 1, t)
+
+    def test_resolution_named_only_beyond_it(self, monkeypatch):
+        # u * t * s = 2.2e-16 * 2 * 5(1 + 1e12 + 0.5) is far above the 1e-10 tolerance
+        with pytest.raises(OracleInconsistencyError, match="outside the block") as err:
+            amplitudes_from_brute_force(ModelParams(4, 1e12, 0.5), 2, 2.0)
+        assert "beyond the dense route's resolution, t * s = 1e+13" in str(err.value)
+
+        def nan_eigensystem(params, sector, max_qubits):
+            basis, evals, evecs = _dense_eigensystem(params, sector, max_qubits)
+            return basis, np.full_like(evals, np.nan), evecs
+
+        monkeypatch.setattr(dynamics, "_dense_eigensystem", nan_eigensystem)
+        with pytest.raises(OracleInconsistencyError, match="outside the block") as err:
+            amplitudes_from_brute_force(ModelParams(3, 0.4, 0.2), 1, 1.0)
+        assert "resolution" not in str(err.value)

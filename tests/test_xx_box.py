@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from starclone import star_model
+from starclone import optimizer, star_model
 from starclone.cloning import optimal_pcc_bound, xx_fidelity
 from starclone.errors import CapacityError
 from starclone.optimizer import SearchBox, grid_scan, reproduce_table1, xx_box_maximum
@@ -99,3 +100,19 @@ def test_oversized_seed_grid_raises_before_allocation(monkeypatch):
     xx_box_maximum(2, n_t=2001)
     with pytest.raises(CapacityError):
         xx_box_maximum(2, n_t=30001)
+
+
+@pytest.mark.parametrize("m", [8, 64])
+def test_memory_estimate_bounds_the_measured_peak(monkeypatch, m):
+    # the largest estimate checked must cover what the search keeps for every
+    # k, without overstating it by more than 4x at table1's default seed grid
+    estimates = []
+    monkeypatch.setattr(optimizer, "_require_memory", lambda need, what: estimates.append(need))
+    xx_box_maximum(m)  # warm: first-call allocations are not the search's own
+    tracemalloc.start()
+    try:
+        xx_box_maximum(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(estimates) <= 4 * peak
