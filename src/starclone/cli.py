@@ -9,7 +9,7 @@ config value is spelled as its flag and parsed by the same argparse parser,
 so it is checked exactly like that flag; a JSON null leaves it unset.  Exit
 codes: 0 success, 1 failed verification checks, 2 usage errors (argparse's
 ``parser.error``), which include an unreadable ``--config`` and an
-unwritable ``--output``.
+unwritable ``--output``, and 141 when the reader of stdout closes it early.
 
 A payload is ``"command"``, every resolved option but ``format`` and
 ``output``, then the results that ``cmd_*`` returns (``optimize``'s sorted
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -57,9 +58,11 @@ from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a reader that left early
 
 _MODELS = {"xx": 0.0, "heisenberg": 1.0, "xxz": None}  # model -> the lambda it fixes
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+_RECORD_KEYS = {"lam": "lambda", "F": "fidelity"}  # JSON keys of renamed record fields
 _SWEEP_AXES = ("lambda", "b", "t")  # also the axis order of scan's fidelity array
 _SCAN_COLUMNS = ("lambda_column", "b_column", "t_column", "fidelity_column")  # CSV order
 # scan's memory per CSV row: the fidelity array, three mesh copies, four
@@ -141,12 +144,12 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("k", int, None, nargs="*",
              help="k values to scan (default: all of 0..M)"),
         *_MODEL_OPTS,
-        _Opt("b_range", float, (0.01, 1.0), nargs=2,
+        _Opt("b_range", float, SearchBox.b_range, nargs=2,
              help="field box: LO HI"),
-        _Opt("t_range", float, (0.0, 300.0), nargs=2,
+        _Opt("t_range", float, SearchBox.t_range, nargs=2,
              help="time box: LO HI"),
-        _Opt("n_b", int, 201, help="field grid points"),
-        _Opt("n_t", int, 30001, help="time grid points"),
+        _Opt("n_b", int, SearchBox.n_b, help="field grid points"),
+        _Opt("n_t", int, SearchBox.n_t, help="time grid points"),
         _Opt("refine", default=True, boolean=True,
              help="refine leading basins with a local simplex"),
         _Opt("refine_iters", int, 400,
@@ -160,9 +163,9 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
     "table1": (
         _Opt("m", int, None, nargs="*",
              help="network sizes (default: 2..8)"),
-        _Opt("n_b", int, 201,
+        _Opt("n_b", int, SearchBox.n_b,
              help="accepted and ignored: the exact search needs no field grid"),
-        _Opt("n_t", int, 30001,
+        _Opt("n_t", int, SearchBox.n_t,
              help="seed grid points on [0, T0], T0 = 2 pi/(B_hi - B_lo), before the "
                   "certified bisection"),
         _Opt("refine", default=True, boolean=True,
@@ -173,7 +176,8 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("suite", choices=SUITE_NAMES, positional=True, help="verification suite to run"),
         _Opt("seed", int, 0, help="seed for randomized sweeps"),
         _Opt("trials", int, None,
-             help="override the sample count of randomized suites"),
+             help="sample count of the oracle, universal and bounds suites; optimal-pcc "
+                  "and ancilla-free run fixed parameter lists and ignore it"),
         *_COMMON_OUT,
     ),
     "scan": (
@@ -296,6 +300,11 @@ def _resolve_lambda(values: dict) -> float:
     return fixed
 
 
+def _record(record) -> dict:
+    """A result record's fields in order: lam as lambda, F as fidelity, other names lowercased."""
+    return {_RECORD_KEYS.get(name, name.lower()): value for name, value in asdict(record).items()}
+
+
 def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
@@ -361,11 +370,9 @@ def cmd_optimize(values: dict) -> dict:
         result = scan_and_refine(objective, box, n_candidates=values["candidates"])
     else:
         result = grid_scan(objective, box)
-    best = result.best
     return {
         "k": list(box.k_candidates),
-        "best": {"m": m, "k": best.k, "lambda": best.lam, "b": best.B,
-                 "t": best.t, "fidelity": best.F},
+        "best": {"m": m, **_record(result.best)},
         "evaluations": result.evaluations,
         "refined": result.refined,
         "runner_up_gap": result.runner_up_gap,
@@ -387,15 +394,7 @@ def text_optimize(p: dict) -> list[str]:
 def cmd_table1(values: dict) -> dict:
     ms = values["m"] or tuple(XX_REFERENCE_MAXIMA)
     rows = reproduce_table1(ms=ms, n_t=values["n_t"])
-    return {
-        "m": list(ms),
-        "rows": [
-            {"m": row.M, "k": row.k, "b": row.B, "t": row.t, "f_max": row.f_max,
-             "f_upper": row.f_upper, "f_optimal": row.f_optimal, "f_reference": row.f_reference,
-             "deviation": row.deviation, "flagged": row.flagged}
-            for row in rows
-        ],
-    }
+    return {"m": list(ms), "rows": [_record(row) for row in rows]}
 
 
 def text_table1(p: dict) -> list[str]:
@@ -503,14 +502,7 @@ def cmd_presets(values: dict) -> dict:
         presets.append(preset_ancilla_free(m))
     presets.append(preset_k_equals_m(m))
     presets.append(universal_preset())
-    return {
-        "presets": [
-            {"name": preset.name, "m": preset.M, "k": preset.k, "lambda": preset.lam,
-             "b": preset.B, "t": preset.t, "fidelity": preset.fidelity,
-             "copies": preset.copies}
-            for preset in presets
-        ],
-    }
+    return {"presets": [_record(preset) for preset in presets]}
 
 
 def text_presets(p: dict) -> list[str]:
@@ -553,7 +545,12 @@ def main(argv=None) -> int:
                 else "\n".join(text(payload)))
     output = values["output"]
     if not output:
-        print(rendered)
+        try:
+            print(rendered, flush=True)
+        except BrokenPipeError:  # the reader closed stdout, as `| head -1` does
+            # the exit-time flush must not meet the closed pipe again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
     else:
         try:
             Path(output).write_text(rendered + "\n")

@@ -167,14 +167,19 @@ def amplitudes_from_brute_force(
          prepare_initial(1, 0, M, k - 1) if k > 0 else None),
     ):
         basis, evals, evecs = _dense_eigensystem(params, sector, max_qubits)
-        # the complex exponent and the phases: two n_t x dim complex arrays
-        _require_memory(32 * np.size(t) * evals.size, f"{np.size(t)} time phases")
-        phases = np.exp(np.multiply.outer(t, -1j * evals))
+        # alive at the peak: the n_t x dim phases (the previous sector's freed),
+        # counted twice to cover the vectors beside them, and three dim x dim
+        # matrices: both sectors' cached eigenvectors and one conjugated copy
+        _require_memory(16 * evals.size * (2 * np.size(t) + 3 * evals.size),
+                        f"{np.size(t)} time phases")
+        phases = np.multiply.outer(t, -1j * evals)
+        np.exp(phases, out=phases)
         own_coeffs = evecs.conj().T @ own.amplitudes[basis]
         amplitudes += [
             np.zeros(np.shape(t), dtype=np.complex128)[()] if ket is None else
             phases @ ((evecs.conj().T @ ket.amplitudes[basis]).conj() * own_coeffs)
             for ket in (own, partner)]
+        del phases
     f1, f2, g2, g1 = amplitudes
     amp = BlockAmplitudes(params, k, f1, f2, g1, g2)
     defect = np.max(amp.unitarity_defect(), initial=0.0)

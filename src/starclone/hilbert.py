@@ -20,7 +20,6 @@ from .star_model import _require_point
 __all__ = [
     "StateVector",
     "QubitDensityMatrix",
-    "dicke_state",
     "prepare_initial",
     "reduce_qubit",
     "fidelity_pure",
@@ -114,28 +113,17 @@ class QubitDensityMatrix:
         )
 
 
-def dicke_state(M: int, k: int) -> StateVector:
-    """Equal-weight symmetric state of M outer qubits with exactly k in |0>.
-
-    The returned vector has C(M, k) nonzero amplitudes, all equal to
-    1/sqrt(C(M, k)), on the basis states whose index carries exactly M - k
-    one-bits.
-    """
-    _require_point(M, k)
-    dim = 1 << M
-    ones_required = M - k
-    amplitudes = np.zeros(dim, dtype=np.complex128)
-    popcount = np.bitwise_count(np.arange(dim, dtype=np.uint64))
-    support = popcount == ones_required
-    amplitudes[support] = 1.0 / math.sqrt(math.comb(M, k))
-    return StateVector(M, amplitudes)
-
-
 def prepare_initial(alpha: complex, beta: complex, M: int, k: int) -> StateVector:
-    """Product state (alpha|0> + beta|1>) on the central spin times |S(M, k)>."""
+    """Product state (alpha|0> + beta|1>) on the central spin times |S(M, k)>.
+
+    The symmetric (Dicke) state |S(M, k)> of the M outer qubits, k of them in
+    |0>, holds 1/sqrt(C(M, k)) on each outer index with exactly M - k one-bits.
+    """
     _require_normalized_pair(alpha, beta)
-    outer = dicke_state(M, k).amplitudes
-    amplitudes = np.zeros(1 << (M + 1), dtype=np.complex128)
+    _require_point(M, k)
+    support = np.bitwise_count(np.arange(1 << M, dtype=np.uint64)) == M - k
+    outer = support / math.sqrt(math.comb(M, k))
+    amplitudes = np.empty(1 << (M + 1), dtype=np.complex128)
     amplitudes[0::2] = alpha * outer  # central bit 0
     amplitudes[1::2] = beta * outer  # central bit 1
     return StateVector(M + 1, amplitudes)

@@ -72,8 +72,6 @@ _BLOCK_ELEMENTS = 2**18
 # Smallest t separation of two refinement candidates of one k.
 _CANDIDATE_SPACING = 0.5
 
-_TWO_PI = 2.0 * math.pi
-
 # Rounding allowance on a closed-form value of size <= 1: a few ulps.
 _ROUND_SLACK = 1e-15
 
@@ -117,8 +115,9 @@ def _as_range(name: str, pair, floor: float = -math.inf) -> tuple[float, float]:
 class SearchBox:
     """Constraint box and grid resolution for the fidelity search at one lam.
 
-    The box and grid defaults are those of the ``optimize`` command: B in
-    [0.01, 1] on 201 points, t in [0, 300] on 30,001 points.
+    The defaults are the paper's box, B in [0.01, 1] on 201 points and t in
+    [0, 300] on 30,001 points; xx_box_maximum, reproduce_table1 and the
+    ``optimize`` and ``table1`` commands read them from here.
     """
 
     b_range: tuple[float, float] = (0.01, 1.0)
@@ -356,7 +355,7 @@ def _arc_max(a: np.ndarray, t: np.ndarray, lo: float, hi: float):
     peak over t.  Otherwise g is the better edge, lo on a tie.
     """
     phi = np.where(a >= 0.0, 0.5 * math.pi, 1.5 * math.pi)
-    phase = phi + _TWO_PI * np.ceil((lo * t - phi) / _TWO_PI)
+    phase = phi + math.tau * np.ceil((lo * t - phi) / math.tau)
     holds = (t > 0.0) & (phase <= hi * t)
     at_lo, at_hi = a * np.sin(lo * t), a * np.sin(hi * t)
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 never holds
@@ -393,29 +392,38 @@ def _best_of(M: int, k: int, b: np.ndarray, t: np.ndarray,
     return point if _better(point, incumbent) else incumbent
 
 
+def _lipschitz_constant(M: int, k: int, form, lo: float, hi: float) -> float:
+    """L = |K1 - K2|/(2M) + max(|lo|, |hi|)(|p+| + |p-|), a Lipschitz constant of g(t).
+
+    g(t) is the maximum of a(t) sin Bt over B in [lo, hi], and |a'| <= |K1 - K2|/(2M),
+    |a| <= |p+| + |p-| and |d/dt sin Bt| <= |B| bound the t-derivative of each term.
+    """
+    K1, K2 = k * (M - k + 1), (M - k) * (k + 1)
+    return abs(K1 - K2) / (2.0 * M) + max(abs(lo), abs(hi)) * (abs(form[0]) + abs(form[1]))
+
+
 def xx_box_maximum(
     M: int,
-    b_range: tuple[float, float] = (0.01, 1.0),
-    t_range: tuple[float, float] = (0.0, 300.0),
-    n_t: int = 30001,
+    b_range: tuple[float, float] = SearchBox.b_range,
+    t_range: tuple[float, float] = SearchBox.t_range,
+    n_t: int = SearchBox.n_t,
 ) -> BoxMaximum:
     """Certified maximum of the XX fidelity over k in 0..M and a (B, t) box.
 
     For t >= T0 = 2 pi/(hi - lo) the maximum over B is 1/2 + |a(t)| exactly,
     so only the critical points of a, T0 and the range ends are candidates.
     On [t_lo, min(T0, t_hi)] the maximum over B, g(t), is taken exactly on an
-    ``n_t``-point seed grid plus the critical points, and certified with the
-    Lipschitz constant L = |K1 - K2|/(2M) + max(|lo|, |hi|)(|p+| + |p-|):
-    a cell whose bound exceeds the incumbent by more than 1e-10 is bisected,
-    and every bound is capped by state_bound(M, k).  Each point is evaluated
-    through xx_fidelity; ties go by BestPoint.tie_key.
+    ``n_t``-point seed grid plus the critical points, and certified with
+    _lipschitz_constant: a cell whose bound exceeds the incumbent by more
+    than 1e-10 is bisected, and every bound is capped by state_bound(M, k).
+    Each point is evaluated through xx_fidelity; ties go by BestPoint.tie_key.
     """
     lo, hi = _as_range("b_range", b_range)
     t_lo, t_hi = _as_range("t_range", t_range, 0.0)
     _require_point(M, 0, 0.0, np.array([lo, hi]), np.array([t_lo, t_hi]))
     if n_t < 2:
         raise ValueError(f"n_t must be >= 2, got {n_t}")
-    t0 = _TWO_PI / (hi - lo) if hi > lo else math.inf
+    t0 = math.tau / (hi - lo) if hi > lo else math.inf
     t_mid = min(t0, t_hi)
     w_max = math.sqrt(max(k * (M - k + 1) for k in range(M + 1)))
     n = n_t + 2 * math.ceil(t_hi * w_max / math.pi + 2) + 3  # candidate times of one k
@@ -441,7 +449,7 @@ def xx_box_maximum(
         if full.any():
             upper = max(upper, min(cap, 0.5 + float(np.abs(a[full]).max()) + _ROUND_SLACK))
         if seed.size:
-            lip = abs(K1 - K2) / (2.0 * M) + max(abs(lo), abs(hi)) * (abs(form[0]) + abs(form[1]))
+            lip = _lipschitz_constant(M, k, form, lo, hi)
             cells.append((k, form, lip, cap, seed[:-1], seed[1:], g[:n_t - 1], g[1:n_t]))
 
     # bisection starts once every k has offered its candidates: the best
@@ -484,7 +492,7 @@ class Table1Row:
     flagged: bool
 
 
-def reproduce_table1(ms=tuple(range(2, 9)), n_t: int = 30001) -> list[Table1Row]:
+def reproduce_table1(ms=tuple(range(2, 9)), n_t: int = SearchBox.n_t) -> list[Table1Row]:
     """Maximize the XX-model fidelity over the reference box for each M.
 
     Finds the certified maximum over B in [0.01, 1], t in [0, 300] and k in

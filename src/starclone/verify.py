@@ -28,7 +28,7 @@ from .cloning import (
     xx_fidelity,
 )
 from .dynamics import amplitudes_from_brute_force, evolve_analytic, evolve_brute_force
-from .hilbert import QubitDensityMatrix, fidelity_pure, prepare_initial, reduce_qubit
+from .hilbert import QubitDensityMatrix, StateVector, fidelity_pure, prepare_initial, reduce_qubit
 from .star_model import ModelParams
 
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suite"]
@@ -62,9 +62,15 @@ def _worst(residuals) -> float:
     return float(np.max(np.fromiter(residuals, dtype=np.float64), initial=0.0))
 
 
-def _entry_errors(a: QubitDensityMatrix, b: QubitDensityMatrix) -> tuple[float, float, float]:
-    """|a - b| over the three independent entries of two qubit density matrices."""
-    return abs(a.rho00 - b.rho00), abs(a.rho01 - b.rho01), abs(a.rho11 - b.rho11)
+def _distance(a: QubitDensityMatrix, b: QubitDensityMatrix) -> float:
+    """Largest entry of |a - b| for two qubit density matrices."""
+    return float(np.abs(a.matrix - b.matrix).max())
+
+
+def _dense_evolution(params: ModelParams, k: int, t: float,
+                     alpha: complex, beta: complex) -> StateVector:
+    """The full register at time t, from (alpha|0> + beta|1>)|S(M, k)>."""
+    return evolve_brute_force(params, prepare_initial(alpha, beta, params.M, k), t)
 
 
 def _oracle_samples(rng: np.random.Generator, trials: int, m_max: int,
@@ -141,9 +147,7 @@ def suite_optimal_pcc(seed: int = 0, trials: int | None = None) -> SuiteResult:
             Check(f"M={M} closed form vs optimal bound", abs(closed - bound), 1e-9)
         )
         alpha, beta = bloch_amplitudes(math.pi / 2.0, float(rng.uniform(0, 2 * math.pi)))
-        psi = evolve_brute_force(
-            preset.params(), prepare_initial(alpha, beta, M, preset.k), preset.t
-        )
+        psi = _dense_evolution(preset.params(), preset.k, preset.t, alpha, beta)
         dense = fidelity_pure(reduce_qubit(psi, 1), alpha, beta)
         checks.append(
             Check(f"M={M} dense evolution vs optimal bound", abs(dense - bound), 1e-8)
@@ -164,14 +168,11 @@ def suite_universal(seed: int = 0, trials: int | None = None) -> SuiteResult:
         theta = math.acos(float(rng.uniform(-1.0, 1.0)))
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         alpha, beta = bloch_amplitudes(theta, phi)
-        psi = evolve_brute_force(
-            params, prepare_initial(alpha, beta, preset.M, preset.k), preset.t
-        )
+        psi = _dense_evolution(params, preset.k, preset.t, alpha, beta)
         rho = reduce_qubit(psi, 1)
-        reference = universal_clone_matrix(alpha, beta)
-        matrix_errors.append(np.abs(rho.matrix - reference.matrix).max())
-        outer_errors += _entry_errors(rho, reduced_outer(amp, alpha, beta))
-        central_errors += _entry_errors(reduce_qubit(psi, 0), reduced_central(amp, alpha, beta))
+        matrix_errors.append(_distance(rho, universal_clone_matrix(alpha, beta)))
+        outer_errors.append(_distance(rho, reduced_outer(amp, alpha, beta)))
+        central_errors.append(_distance(reduce_qubit(psi, 0), reduced_central(amp, alpha, beta)))
         fidelities[i] = fidelity_pure(rho, alpha, beta)
     return SuiteResult(
         (
@@ -200,13 +201,9 @@ def suite_ancilla_free(seed: int = 0, trials: int | None = None) -> SuiteResult:
         preset = preset_ancilla_free(m_outer)
         phi = float(rng.uniform(0.0, 2.0 * math.pi))
         alpha, beta = bloch_amplitudes(math.pi / 2.0, phi)
-        psi = evolve_brute_force(
-            preset.params(),
-            prepare_initial(alpha, beta, m_outer, preset.k),
-            preset.t,
-        )
+        psi = _dense_evolution(preset.params(), preset.k, preset.t, alpha, beta)
         rhos = [reduce_qubit(psi, q) for q in range(m_outer + 1)]
-        spread = _worst(np.abs(rho.matrix - rhos[0].matrix).max() for rho in rhos)
+        spread = _worst(_distance(rho, rhos[0]) for rho in rhos)
         checks.append(Check(f"M_outer={m_outer} reduced-matrix spread", spread, 1e-10))
         worst_f = _worst(abs(fidelity_pure(r, alpha, beta) - preset.fidelity) for r in rhos)
         checks.append(
@@ -242,7 +239,7 @@ def suite_bounds(seed: int = 0, trials: int | None = None) -> SuiteResult:
         t = math.pi / (M + 1)
         alpha, beta = bloch_amplitudes(math.pi / 2.0, float(rng.uniform(0, 2 * math.pi)))
         for k in range(M + 1):
-            psi = evolve_brute_force(params, prepare_initial(alpha, beta, M, k), t)
+            psi = _dense_evolution(params, k, t, alpha, beta)
             dense = fidelity_pure(reduce_qubit(psi, 1), alpha, beta)
             heis_errors.append(abs(dense - heisenberg_max_fidelity(M, k)))
     checks.append(

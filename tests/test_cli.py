@@ -2,8 +2,11 @@
 
 import json
 import math
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -598,6 +601,19 @@ class TestRenderPath:
         assert code == 0
         assert printed == ""
         assert target.read_text() == out
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # the reader leaves after one line, as `starclone scan ... | head -1` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "starclone.cli", "scan", "--m", "4", "--k", "2",
+             "--sweep", "t=0:50:20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            cwd=Path(cli.__file__).resolve().parents[1])
+        assert proc.stdout.readline() == b"M,k,lambda,B,t,fidelity,method\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141  # 128 + SIGPIPE, not 1 (failed checks)
+        assert "Traceback" not in err
 
     def test_failing_suite_json_exits_1(self, capsys, monkeypatch):
         failing = SuiteResult(

@@ -8,7 +8,6 @@ import pytest
 from starclone.hilbert import (
     QubitDensityMatrix,
     StateVector,
-    dicke_state,
     fidelity_pure,
     prepare_initial,
     reduce_qubit,
@@ -25,34 +24,41 @@ def random_pair(rng):
     )
 
 
+def dicke(m, k):
+    """|S(m, k)> on the outer register: the central-|0> half of prepare_initial(1, 0, m, k)."""
+    amplitudes = prepare_initial(1, 0, m, k).amplitudes
+    assert not amplitudes[1::2].any()  # the central-|1> half is empty
+    return amplitudes[0::2]
+
+
 class TestDickeState:
     def test_two_one_is_symmetric_pair(self):
         expected = np.zeros(4, dtype=complex)
         expected[1] = expected[2] = 1.0 / SQRT2
-        assert np.allclose(dicke_state(2, 1).amplitudes, expected, atol=1e-15)
+        assert np.allclose(dicke(2, 1), expected, atol=1e-15)
 
     def test_three_two_is_one_bit_permutations(self):
-        state = dicke_state(3, 2)
+        outer = dicke(3, 2)
         expected = np.zeros(8, dtype=complex)
         expected[[1, 2, 4]] = 1.0 / math.sqrt(3.0)
-        assert np.allclose(state.amplitudes, expected, atol=1e-15)
+        assert np.allclose(outer, expected, atol=1e-15)
 
     @pytest.mark.parametrize("m", [1, 2, 4, 7])
     def test_k_zero_is_all_ones(self, m):
-        state = dicke_state(m, 0)
+        outer = dicke(m, 0)
         expected = np.zeros(1 << m, dtype=complex)
         expected[(1 << m) - 1] = 1.0
-        assert np.array_equal(state.amplitudes, expected)
+        assert np.array_equal(outer, expected)
 
     @pytest.mark.parametrize("m,k", [(2, 1), (5, 2), (6, 6), (7, 3), (8, 5)])
     def test_support_and_normalization(self, m, k):
-        state = dicke_state(m, k)
-        nonzero = np.flatnonzero(state.amplitudes)
+        outer = dicke(m, k)
+        nonzero = np.flatnonzero(outer)
         assert len(nonzero) == math.comb(m, k)
         assert np.allclose(
-            state.amplitudes[nonzero], 1.0 / math.sqrt(math.comb(m, k)), atol=0
+            outer[nonzero], 1.0 / math.sqrt(math.comb(m, k)), atol=0
         )
-        assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
+        assert abs(np.vdot(outer, outer).real - 1.0) < 1e-12
         # every support index holds exactly m - k one-bits
         for idx in nonzero:
             assert bin(int(idx)).count("1") == m - k
@@ -60,7 +66,7 @@ class TestDickeState:
     @pytest.mark.parametrize("m,k", [(3, -1), (3, 4), (0, 0)])
     def test_domain_errors(self, m, k):
         with pytest.raises(ValueError):
-            dicke_state(m, k)
+            prepare_initial(1, 0, m, k)
 
 
 class TestPrepareInitial:
@@ -81,7 +87,7 @@ class TestPrepareInitial:
         alpha = math.cos(theta / 2)
         beta = complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)
         state = prepare_initial(alpha, beta, 2, 1)
-        outer = dicke_state(2, 1).amplitudes
+        outer = np.array([0.0, 1.0, 1.0, 0.0]) / SQRT2  # |S(2, 1)>
         assert np.allclose(state.amplitudes[0::2], alpha * outer, atol=1e-15)
         assert np.allclose(state.amplitudes[1::2], beta * outer, atol=1e-15)
 

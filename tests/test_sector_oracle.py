@@ -124,6 +124,24 @@ class TestCapacity:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("m, k", [(6, 3), (10, 5)])
+    def test_memory_estimate_bounds_the_measured_peak(self, monkeypatch, m, k):
+        # the largest estimate checked must cover the phases of 2,000 t next to
+        # the eigensystems of a cold cache, without overstating them by more than 4x
+        estimates = []
+        for module in (dynamics, star_model):
+            monkeypatch.setattr(module, "_require_memory",
+                                lambda need, what: estimates.append(need))
+        _dense_eigensystem.cache_clear()
+        tracemalloc.start()
+        try:
+            amplitudes_from_brute_force(ModelParams(m, 0.7, 0.3), k, np.linspace(0.0, 30.0, 2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _dense_eigensystem.cache_clear()
+        assert peak <= max(estimates) <= 4 * peak
+
     def test_oversized_request_allocates_nothing(self):
         # M = 40 is a 16 TiB state: the estimate must refuse it up front
         params = ModelParams(40, 0.3, 0.2)
