@@ -152,9 +152,9 @@ _OPTIONS: dict[str, tuple[_Opt, ...]] = {
         _Opt("n_t", int, SearchBox.n_t, help="time grid points"),
         _Opt("refine", default=True, boolean=True,
              help="refine leading basins with a local simplex"),
-        _Opt("refine_iters", int, 400,
+        _Opt("refine_iters", int, SearchBox.refine_iters,
              help="refinement iteration cap"),
-        _Opt("refine_tol", float, 1e-8,
+        _Opt("refine_tol", float, SearchBox.refine_tol,
              help="refinement parameter tolerance"),
         _Opt("candidates", int, 8,
              help="basins to refine in total, at most one per t-basin of a (k, lambda)"),

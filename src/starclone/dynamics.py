@@ -168,16 +168,18 @@ def amplitudes_from_brute_force(
     ):
         basis, evals, evecs = _dense_eigensystem(params, sector, max_qubits)
         # alive at the peak: the n_t x dim phases (the previous sector's freed),
-        # counted twice to cover the vectors beside them, and three dim x dim
-        # matrices: both sectors' cached eigenvectors and one conjugated copy
-        _require_memory(16 * evals.size * (2 * np.size(t) + 3 * evals.size),
+        # counted twice to cover the vectors beside them, and both sectors'
+        # cached eigenvectors
+        _require_memory(16 * evals.size * (2 * np.size(t) + 2 * evals.size),
                         f"{np.size(t)} time phases")
         phases = np.multiply.outer(t, -1j * evals)
         np.exp(phases, out=phases)
-        own_coeffs = evecs.conj().T @ own.amplitudes[basis]
+        # conj(V^H x) = V^T conj(x): no conjugated copy of V, and the input's once
+        own_bra = evecs.T @ own.amplitudes[basis].conj()
         amplitudes += [
             np.zeros(np.shape(t), dtype=np.complex128)[()] if ket is None else
-            phases @ ((evecs.conj().T @ ket.amplitudes[basis]).conj() * own_coeffs)
+            phases @ ((own_bra if ket is own else evecs.T @ ket.amplitudes[basis].conj())
+                      * own_bra.conj())
             for ket in (own, partner)]
         del phases
     f1, f2, g2, g1 = amplitudes

@@ -1,7 +1,8 @@
 """Import hygiene of the package, checked with the standard library's ``ast``.
 
-A deletion that leaves an unused import behind, or a public name that no
-longer resolves, fails here instead of surviving as dead surface.
+A deletion that leaves an unused import behind, in the package or in its
+tests, or a public name that no longer resolves, fails here instead of
+surviving as dead surface.
 """
 
 import ast
@@ -15,6 +16,7 @@ import starclone
 
 PACKAGE = Path(starclone.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +35,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from starclone import cli, dynamics, star_model
@@ -17,6 +19,7 @@ from starclone.dynamics import (
 from starclone.errors import CapacityError, OracleInconsistencyError
 from starclone.hilbert import StateVector, prepare_initial
 from starclone.star_model import ModelParams, build_full_hamiltonian
+from strategies import COUPLINGS, TIMES, tolerance
 
 
 def random_params(rng, m):
@@ -53,15 +56,15 @@ class TestSectorBlocks:
 
 class TestSectorEvolution:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-    def test_matches_full_matrix_exponential(self, m):
-        rng = np.random.default_rng(10 + m)
-        for _ in range(3):
-            params = random_params(rng, m)
-            psi0 = random_state(rng, m + 1)
-            t = float(rng.uniform(0.0, 20.0))
-            reference = expm(-1j * t * build_full_hamiltonian(params).matrix)
-            psi = evolve_brute_force(params, psi0, t)
-            assert np.abs(psi.amplitudes - reference @ psi0.amplitudes).max() < 1e-10
+    @settings(max_examples=10)
+    @given(lam=COUPLINGS, B=COUPLINGS, t=TIMES, seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_matrix_exponential(self, m, lam, B, t, seed):
+        params = ModelParams(m, lam, B)
+        psi0 = random_state(np.random.default_rng(seed), m + 1)
+        reference = expm(-1j * t * build_full_hamiltonian(params).matrix)
+        psi = evolve_brute_force(params, psi0, t)
+        tol = tolerance(m, lam, B, t, 1e-10, (5, 5.0, 5.0, 20.0))
+        assert np.abs(psi.amplitudes - reference @ psi0.amplitudes).max() < tol
 
     def test_cache_per_sector_across_times(self):
         params = ModelParams(5, 0.314159, -0.271828)

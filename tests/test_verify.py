@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from starclone import verify
+from starclone import cli, verify
 from starclone.hilbert import reduce_qubit
 from starclone.verify import Check, run_suite
 
@@ -51,6 +51,13 @@ class TestTrials:
     def test_trials_below_one_rejected(self, trials):
         with pytest.raises(ValueError):
             run_suite("oracle", trials=trials)
+
+    @pytest.mark.parametrize("suite", ["oracle", "universal", "bounds"])
+    def test_trials_beyond_memory_exit_2_before_sampling(self, capsys, suite):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["verify", suite, "--trials", "1000000000000"])
+        assert exit_.value.code == 2
+        assert "physical memory" in capsys.readouterr().err
 
 
 class TestAncillaFree:
