@@ -1,6 +1,7 @@
-"""Each evolution route on its own: exact limits, edge phases, conservation laws, the cache.
+"""Each evolution route on its own (exact limits, edge phases, conservation laws, the
+cache) and block propagation against the dense oracle on a fixed seed.
 
-tests/test_routes.py compares the routes with each other.
+tests/test_routes.py compares the routes over the whole stratified domain.
 """
 
 import math
@@ -141,7 +142,24 @@ class TestEvolveBruteForce:
 
 
 class TestOracleEquivalence:
-    """Dense projections where the answer is exact, and their eigensystem cache."""
+    """Block propagation equals dense projections; dense projections where the answer is
+    exact, and their eigensystem cache."""
+
+    def test_agreement_200_random_tuples(self):
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(200):
+            params, k, t = random_tuple(rng)
+            analytic = evolve_analytic(params, k, t)
+            dense = amplitudes_from_brute_force(params, k, t)
+            worst = max(
+                worst,
+                abs(analytic.f1 - dense.f1),
+                abs(analytic.f2 - dense.f2),
+                abs(analytic.g1 - dense.g1),
+                abs(analytic.g2 - dense.g2),
+            )
+        assert worst < 1e-10
 
     def test_t0_projections(self):
         dense = amplitudes_from_brute_force(ModelParams(3, 2.2, 0.4), 2, 0.0)
