@@ -245,6 +245,7 @@ def preset_optimal(M: int) -> PresetSpec:
     odd M:  k = (M-1)/2, lam = sqrt(3(M+1)^2/4 + 1), B = (M+1)/2,
             t = pi/(M+1).
     """
+    _require_point(M)
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
     if M % 2 == 0:
@@ -278,6 +279,7 @@ def preset_ancilla_free(M_outer: int) -> PresetSpec:
     equal, with common equatorial fidelity 1/2 + (M+2)/(4(M+1)): the optimal
     bound for M + 1 copies.
     """
+    _require_point(M_outer)
     if M_outer < 2 or M_outer % 2 != 0:
         raise ValueError(f"M_outer must be an even count >= 2, got {M_outer}")
     return PresetSpec(

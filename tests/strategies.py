@@ -1,10 +1,10 @@
-"""One stratified sampler of model points (M, k, lam, B, t), and the tolerance they share.
+"""Samplers of model points (M, k, lam, B, t), and the tolerance they share.
 
-Each stratum is drawn on purpose, not left to chance: M in {1, 2, odd 3..m_max,
-even 4..m_max}; k in {0, interior, M}; lam and B each 0 or +-u * 10**e with
-u in (0, 1) and e in [-2, 3]; t 0 or u * 10**e with e in [-2, 6].  ANY_POINTS
-adds points outside the domain.  Building a strategy costs more than drawing
-from it, so each is built once.
+``points`` draws each stratum on purpose, not left to chance: M in {1, 2, odd
+3..m_max, even 4..m_max}; k in {0, interior, M}; lam and B each 0 or
++-u * 10**e with u in (0, 1) and e in [-2, 3]; t 0 or u * 10**e with e in
+[-2, 6].  ANY_POINTS adds points outside the domain, and ``box_points`` draws
+inside one fixed box.
 """
 
 import math
@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 from hypothesis import strategies as st
+
+from starclone.star_model import ModelParams
 
 U = 2.2e-16
 # worst error / (U (1 + t s)) over 3,000 draws was 25: the dense eigensolver near
@@ -55,6 +57,28 @@ def _points(draw, m_max):
 @lru_cache
 def points(m_max=8):
     return _points(m_max)
+
+
+@st.composite
+def box_points(draw, m_max, lam_max, b_max, times, ends=False, bloch=False):
+    """(M, k, lam, B, t, theta, phi) with M <= m_max, |lam| <= lam_max, |B| <= b_max and
+    t from ``times``.  ``ends`` also draws k in {0, M} and lam = 0, where one block gap
+    vanishes; ``bloch`` draws the input state uniformly on the sphere, else theta = phi = 0."""
+    M = draw(_integers(1, m_max))
+    k = M * draw(st.booleans()) if ends and draw(st.booleans()) else draw(_integers(0, M))
+    lam = 0.0 if ends and draw(st.booleans()) else draw(st.floats(-lam_max, lam_max))
+    B, t = draw(st.floats(-b_max, b_max)), draw(times)
+    if not bloch:
+        return M, k, lam, B, t, 0.0, 0.0
+    theta = math.acos(draw(st.floats(-1.0, 1.0)))
+    return M, k, lam, B, t, theta, draw(st.floats(0.0, 2.0 * math.pi))
+
+
+def random_tuple(rng, m_max=6, t_max=50.0):
+    """(params, k, t) with M <= m_max, |lam|, |B| <= 5 and t <= t_max, drawn by ``rng``."""
+    m = int(rng.integers(1, m_max + 1))
+    params = ModelParams(m, float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
+    return params, int(rng.integers(0, m + 1)), float(rng.uniform(0, t_max))
 
 
 _ANY_M = st.one_of(sizes(), st.sampled_from([0, -1, True]))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -574,6 +575,19 @@ class TestPhaseOverflowAndCapacity:
         assert err.value.code == 2
         assert "physical memory" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("rows", [
+        "--method analytic --sweep t=0:50:2000",
+        "--method analytic --sweep lambda=0:3:20 --sweep t=0:50:100",
+        "--method closed-form --sweep lambda=0:3:20 --sweep t=0:50:100",
+        "--method brute --sweep b=0:3:10 --sweep t=0:50:200"])
+    def test_scan_memory_estimate_bounds_the_measured_peak(self, peak_and_estimates, rows):
+        # the estimate for 2,000 rows covers what scan keeps alive, the rendered
+        # rows included, at most 4x over
+        argv = ["scan", "--m", "4", "--k", "2", "--output", os.devnull]
+        cli.main([*argv, "--sweep", "t=0:1:3"])  # warm: first-call allocations
+        peak, estimates = peak_and_estimates(lambda: cli.main(argv + rows.split()), cli)
+        assert peak <= max(estimates) <= 4 * peak
 
 
 class TestRenderPath:

@@ -30,15 +30,7 @@ from starclone.dynamics import evolve_analytic, evolve_brute_force
 from starclone.errors import FormulaInconsistencyError
 from starclone.hilbert import fidelity_pure, prepare_initial, reduce_qubit
 from starclone.star_model import ModelParams
-
-
-def random_tuple(rng, m_max=6, t_max=50.0):
-    m = int(rng.integers(1, m_max + 1))
-    return (
-        ModelParams(m, float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))),
-        int(rng.integers(0, m + 1)),
-        float(rng.uniform(0, t_max)),
-    )
+from strategies import random_tuple
 
 
 def random_bloch(rng):
@@ -57,16 +49,6 @@ class TestReducedOuter:
             assert abs(rho.rho00 - k / params.M) < 1e-12
             assert abs(rho.rho11 - (params.M - k) / params.M) < 1e-12
             assert abs(rho.rho01) < 1e-12
-
-    def test_matches_dense_partial_trace(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            params, k, t = random_tuple(rng)
-            alpha, beta = random_bloch(rng)
-            formula = reduced_outer(evolve_analytic(params, k, t), alpha, beta)
-            psi = evolve_brute_force(params, prepare_initial(alpha, beta, params.M, k), t)
-            dense = reduce_qubit(psi, 1)
-            assert np.abs(formula.matrix - dense.matrix).max() < 1e-10
 
     def test_universal_point_matrix(self):
         preset = universal_preset()
@@ -94,18 +76,6 @@ class TestReducedOuter:
             reduce(broken, 1.0, 0.0)
 
 
-class TestReducedCentral:
-    def test_matches_dense_partial_trace(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            params, k, t = random_tuple(rng)
-            alpha, beta = random_bloch(rng)
-            formula = reduced_central(evolve_analytic(params, k, t), alpha, beta)
-            psi = evolve_brute_force(params, prepare_initial(alpha, beta, params.M, k), t)
-            dense = reduce_qubit(psi, 0)
-            assert np.abs(formula.matrix - dense.matrix).max() < 1e-10
-
-
 class TestPccFidelity:
     def test_t0_is_half(self):
         rng = np.random.default_rng(4)
@@ -128,13 +98,6 @@ class TestClosedForm:
         assert abs(f - 0.806186) < 5e-7
         assert abs(f - (0.5 + math.sqrt(24.0) / 16.0)) < 1e-12
 
-    def test_matches_block_propagation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            params, k, t = random_tuple(rng)
-            closed = float(fidelity_closed_form(params.M, k, params.lam, params.B, t))
-            assert abs(closed - pcc_fidelity(evolve_analytic(params, k, t))) < 1e-9
-
     def test_guard_paths_match_blocks(self):
         # eta vanishes only for lam = 0 with k = 0 or k = M
         for m, k in ((3, 0), (3, 3), (1, 0), (1, 1)):
@@ -142,16 +105,6 @@ class TestClosedForm:
             for t in (0.7, 5.0, 31.0):
                 closed = float(fidelity_closed_form(m, k, 0.0, 1.3, t))
                 assert abs(closed - pcc_fidelity(evolve_analytic(params, k, t))) < 1e-12
-
-    def test_vectorized_matches_scalar(self):
-        times = np.linspace(0.0, 12.0, 50)
-        vec = fidelity_closed_form(4, 1, 0.8, 0.3, times)
-        scalar = np.array([fidelity_closed_form(4, 1, 0.8, 0.3, t) for t in times])
-        assert np.array_equal(vec, scalar)
-        # guard path stays vectorized too
-        vec = fidelity_closed_form(3, 0, 0.0, 0.3, times)
-        scalar = np.array([fidelity_closed_form(3, 0, 0.0, 0.3, t) for t in times])
-        assert np.abs(vec - scalar).max() < 1e-15
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -225,17 +178,6 @@ class TestXXFidelity:
     def test_reference_maximum_m3(self):
         assert abs(xx_fidelity(3, 1, 0.0311526, 252.113) - 0.833319) < 5e-6
 
-    def test_equals_closed_form_at_lam0(self):
-        rng = np.random.default_rng(8)
-        for _ in range(40):
-            m = int(rng.integers(1, 9))
-            k = int(rng.integers(0, m + 1))
-            b, t = float(rng.uniform(-3, 3)), float(rng.uniform(0, 60))
-            assert (
-                abs(float(xx_fidelity(m, k, b, t)) - float(fidelity_closed_form(m, k, 0.0, b, t)))
-                < 1e-10
-            )
-
     def test_no_field_means_no_cloning(self):
         for t in np.linspace(0, 40, 17):
             assert xx_fidelity(5, 2, 0.0, float(t)) == 0.5
@@ -260,17 +202,6 @@ class TestPolarizedRegister:
 
     def test_t0_is_half(self):
         assert float(kM_fidelity(6, 1.2, 0.7, 0.0)) == 0.5
-
-    def test_matches_closed_form(self):
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            m = int(rng.integers(1, 9))
-            lam = float(rng.uniform(-3, 3))
-            b, t = float(rng.uniform(-3, 3)), float(rng.uniform(0, 60))
-            assert (
-                abs(float(kM_fidelity(m, lam, b, t)) - float(fidelity_closed_form(m, m, lam, b, t)))
-                < 1e-10
-            )
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_maximum_value(self, m):

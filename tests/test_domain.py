@@ -18,7 +18,8 @@ from starclone import (
     heisenberg_max_fidelity,
     kM_fidelity,
     optimal_pcc_bound,
-    pcc_fidelity,
+    preset_ancilla_free,
+    preset_optimal,
     state_bound,
     xx_fidelity,
 )
@@ -51,6 +52,9 @@ BAD_CALLS = {
     ),
     "bloch_amplitudes NaN theta": lambda: bloch_amplitudes(math.nan, 0.0),
     "bloch_amplitudes infinite phi": lambda: bloch_amplitudes(1.0, math.inf),
+    "preset_ancilla_free float M": lambda: preset_ancilla_free(4.0),
+    "preset_optimal string M": lambda: preset_optimal("4"),
+    "preset_ancilla_free string M": lambda: preset_ancilla_free("4"),
 }
 
 
@@ -65,31 +69,6 @@ def test_numpy_integers_and_empty_arrays_are_accepted():
     closed = fidelity_closed_form(3, 1, 0.5, 0.3, 1.0)
     assert fidelity_closed_form(np.int64(3), np.int64(1), 0.5, 0.3, 1.0) == closed
     assert xx_fidelity(3, 1, 0.3, np.array([])).shape == (0,)
-
-
-def _draws(rng, count):
-    for _ in range(count):
-        M = int(rng.integers(1, 9))
-        k = int(rng.choice([0, M, int(rng.integers(0, M + 1))]))
-        lam = float(rng.choice([0.0, rng.uniform(-5.0, 5.0)]))
-        yield ModelParams(M, lam, float(rng.uniform(-5.0, 5.0))), k
-
-
-def test_array_time_equals_scalar_calls():
-    rng = np.random.default_rng(11)
-    for params, k in _draws(rng, 40):
-        times = np.concatenate([[0.0], rng.uniform(0.0, 300.0, 60)])
-        amp = evolve_analytic(params, k, times)
-        dense = amplitudes_from_brute_force(params, k, times)
-        fidelities = pcc_fidelity(amp)
-        assert fidelities.shape == times.shape
-        for i, t in enumerate(times.tolist()):
-            scalar = evolve_analytic(params, k, t)
-            dense_scalar = amplitudes_from_brute_force(params, k, t)
-            for name in ("f1", "f2", "g1", "g2"):
-                assert abs(getattr(amp, name)[i] - getattr(scalar, name)) <= 1e-15
-                assert abs(getattr(dense, name)[i] - getattr(dense_scalar, name)) <= 1e-12
-            assert abs(fidelities[i] - pcc_fidelity(scalar)) <= 1e-15
 
 
 def test_array_time_keeps_shape_and_unitarity():
@@ -108,14 +87,6 @@ def test_array_time_keeps_shape_and_unitarity():
                 for name in ("f1", "f2", "g1", "g2"):
                     assert np.shape(getattr(amp, name)) == shaped.shape
                 assert amp.unitarity_defect().max() < 1e-12
-
-
-def test_array_time_matches_closed_form():
-    times = np.linspace(0.0, 60.0, 2001)
-    for params, k in _draws(np.random.default_rng(12), 20):
-        analytic = pcc_fidelity(evolve_analytic(params, k, times))
-        closed = fidelity_closed_form(params.M, k, params.lam, params.B, times)
-        assert np.abs(analytic - closed).max() < 1e-9
 
 
 OVERFLOW_T = 1e308

@@ -1,7 +1,5 @@
-"""Each evolution route on its own (exact limits, edge phases, conservation laws, the
-cache) and block propagation against the dense oracle on a fixed seed.
-
-tests/test_routes.py compares the routes over the whole stratified domain.
+"""Each evolution route on its own: exact limits, edge phases, conservation laws and
+the cache.  tests/test_routes.py compares the routes with each other.
 """
 
 import math
@@ -18,15 +16,7 @@ from starclone.hilbert import StateVector, prepare_initial, reduce_qubit
 from starclone.star_model import ModelParams, build_full_hamiltonian
 
 from spectral_reference import edge_eigenstate
-
-
-def random_tuple(rng, m_max=6, t_max=50.0):
-    m = int(rng.integers(1, m_max + 1))
-    return (
-        ModelParams(m, float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))),
-        int(rng.integers(0, m + 1)),
-        float(rng.uniform(0, t_max)),
-    )
+from strategies import random_tuple
 
 
 class TestEvolveAnalytic:
@@ -142,24 +132,7 @@ class TestEvolveBruteForce:
 
 
 class TestOracleEquivalence:
-    """Block propagation equals dense projections; dense projections where the answer is
-    exact, and their eigensystem cache."""
-
-    def test_agreement_200_random_tuples(self):
-        rng = np.random.default_rng(2024)
-        worst = 0.0
-        for _ in range(200):
-            params, k, t = random_tuple(rng)
-            analytic = evolve_analytic(params, k, t)
-            dense = amplitudes_from_brute_force(params, k, t)
-            worst = max(
-                worst,
-                abs(analytic.f1 - dense.f1),
-                abs(analytic.f2 - dense.f2),
-                abs(analytic.g1 - dense.g1),
-                abs(analytic.g2 - dense.g2),
-            )
-        assert worst < 1e-10
+    """Dense projections where the answer is exact, and their eigensystem cache."""
 
     def test_t0_projections(self):
         dense = amplitudes_from_brute_force(ModelParams(3, 2.2, 0.4), 2, 0.0)

@@ -85,6 +85,17 @@ class TestSearchBox:
 
 
 class TestGridScan:
+    @pytest.mark.parametrize("n_k, n_b, n_t", [(3, 9, 30001), (2, 51, 2001)])
+    def test_memory_estimate_bounds_the_measured_peak(self, peak_and_estimates, n_k, n_b, n_t):
+        # SearchBox's estimate covers what optimize's scan keeps alive, at most 4x over
+        def objective(k, lam, b, t):
+            return fidelity_closed_form(4, k, lam, b, t)
+
+        grid_scan(objective, SearchBox(lam=0.7, n_b=2, n_t=3))  # warm: first-call allocations
+        peak, estimates = peak_and_estimates(lambda: grid_scan(objective, SearchBox(
+            lam=0.7, k_candidates=tuple(range(n_k)), n_b=n_b, n_t=n_t)), optimizer)
+        assert peak <= max(estimates) <= 4 * peak
+
     def test_constant_objective_returns_smallest_corner(self):
         box = SearchBox(
             b_range=(0.2, 0.8), t_range=(1.0, 2.0), lam=0.0,

@@ -3,17 +3,19 @@
 A point (M, k, lam, B, t) has three routes: block propagation
 (``evolve_analytic``), the closed form (``fidelity_closed_form`` and its
 lam = 0 and k = M kernels) and the dense oracle (``amplitudes_from_brute_force``,
-``evolve_brute_force``).  Every test draws from ``strategies`` and allows
-``strategies.tolerance``; the last one pins that the draws reach past the
-box the older fixed-tolerance tests drew from.
+``evolve_brute_force``).  Every relation draws from ``strategies.points`` and
+allows ``strategies.tolerance``.  Each row of BOXES runs one of them again on
+the box, draw count and fixed tolerance of one earlier test.  The last test
+pins that the stratified draws reach past those boxes.
 """
 
 import math
-import sys
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from starclone.cloning import (
@@ -31,7 +33,7 @@ from starclone.cloning import (
 from starclone.dynamics import amplitudes_from_brute_force, evolve_analytic, evolve_brute_force
 from starclone.hilbert import fidelity_pure, prepare_initial, reduce_qubit
 from starclone.star_model import ModelParams, _block_elements
-from strategies import ANY_POINTS, TIMES, points, tolerance
+from strategies import ANY_POINTS, TIMES, box_points, points, tolerance
 
 FIELDS = ("f1", "f2", "g1", "g2")
 ROUTES = (evolve_analytic, amplitudes_from_brute_force)
@@ -40,26 +42,45 @@ PHASES = np.linspace(0.0, 2.0 * math.pi, 9).tolist()
 
 def _amplitudes(params, k, t, theta, phi):
     analytic, dense = (route(params, k, t) for route in ROUTES)
-    return max(abs(getattr(analytic, name) - getattr(dense, name)) for name in FIELDS)
+    return max(np.abs(getattr(analytic, name) - getattr(dense, name)).max() for name in FIELDS)
 
 
-def _closed_form(params, k, t, theta, phi):
-    closed = float(fidelity_closed_form(params.M, k, params.lam, params.B, t))
-    return max(abs(closed - pcc_fidelity(route(params, k, t))) for route in ROUTES)
+def _closed_form(params, k, t, theta, phi, routes=ROUTES):
+    closed = fidelity_closed_form(params.M, k, params.lam, params.B, t)
+    return max(np.abs(closed - pcc_fidelity(route(params, k, t))).max() for route in routes)
 
 
-def _kernels(params, k, t, theta, phi):  # xx_fidelity at lam = 0, kM_fidelity at k = M
+def _xx_kernel(params, k, t, theta, phi):  # xx_fidelity is the closed form at lam = 0
+    M, B = params.M, params.B
+    return abs(xx_fidelity(M, k, B, t) - fidelity_closed_form(M, k, 0.0, B, t))
+
+
+def _kM_kernel(params, k, t, theta, phi):  # kM_fidelity is the closed form at k = M
     M, lam, B = params.M, params.lam, params.B
-    return max(abs(xx_fidelity(M, k, B, t) - fidelity_closed_form(M, k, 0.0, B, t)),
-               abs(kM_fidelity(M, lam, B, t) - fidelity_closed_form(M, M, lam, B, t)))
+    return abs(kM_fidelity(M, lam, B, t) - fidelity_closed_form(M, M, lam, B, t))
 
 
-def _reduced(params, k, t, theta, phi):
+def _reduced(params, k, t, theta, phi, qubits=(1, 0)):  # 1: reduced_outer, 0: reduced_central
     alpha, beta = bloch_amplitudes(theta, phi)
     amp = evolve_analytic(params, k, t)
     psi = evolve_brute_force(params, prepare_initial(alpha, beta, params.M, k), t)
-    return max(np.abs(reduce(amp, alpha, beta).matrix - reduce_qubit(psi, qubit).matrix).max()
-               for reduce, qubit in ((reduced_outer, 1), (reduced_central, 0)))
+    return max(np.abs((reduced_outer if qubit else reduced_central)(amp, alpha, beta).matrix
+                      - reduce_qubit(psi, qubit).matrix).max() for qubit in qubits)
+
+
+def _array_vs_scalar(params, k, t, theta, phi):
+    """Worst difference of an array t from one call per time: closed form, analytic, dense."""
+    closed = partial(fidelity_closed_form, params.M, k, params.lam, params.B)
+    errors = [np.abs(closed(t) - [closed(s) for s in t.tolist()]).max()]
+    for route in ROUTES:
+        amp, scalars = route(params, k, t), [route(params, k, s) for s in t.tolist()]
+        errors.append(max(np.abs(read(amp) - [read(s) for s in scalars]).max()
+                          for read in (pcc_fidelity, *map(attrgetter, FIELDS))))
+    return errors
+
+
+# the closed form bit for bit (only 0 is below the least subnormal), then analytic and dense
+ARRAY_TOLERANCE = (math.ulp(0.0), 1e-15, 1e-12)
 
 
 def _unitarity(params, k, t, theta, phi):
@@ -89,7 +110,8 @@ def _analytic_phase_error(params, k, t, theta, phi):
 RELATIONS = {
     "amplitudes-analytic-vs-dense": (_amplitudes, 1e-10, (6, 5.0, 5.0, 50.0)),
     "closed-form-vs-both-routes": (_closed_form, 1e-9, (8, 5.0, 5.0, 60.0)),
-    "xx-and-kM-kernels-vs-closed-form": (_kernels, 1e-10, (8, 5.0, 5.0, 60.0)),
+    "xx-and-kM-kernels-vs-closed-form": (lambda *p: max(_xx_kernel(*p), _kM_kernel(*p)), 1e-10,
+                                         (8, 5.0, 5.0, 60.0)),
     "reduced-matrices-vs-dense-partial-trace": (_reduced, 1e-10, (6, 5.0, 5.0, 50.0)),
     "unitarity-of-both-routes": (_unitarity, 1e-12, (6, 5.0, 5.0, 50.0)),
     "fidelity-above-state-bound": (_above_bound, 1e-10, (8, 10.0, 5.0, 100.0)),
@@ -113,18 +135,67 @@ def test_relation_holds(name, point, cos_theta, phi):
     assert error < tolerance(M, lam, B, t, cap, box)
 
 
+# the halves of the stratified relations that the earlier tests checked
+_closed_vs_analytic = partial(_closed_form, routes=ROUTES[:1])
+_outer_vs_dense, _central_vs_dense = partial(_reduced, qubits=(1,)), partial(_reduced, qubits=(0,))
+SCALAR_50, SCALAR_60 = st.tuples(st.floats(0.0, 50.0)), st.tuples(st.floats(0.0, 60.0))
+# t = 0 and 60 uniform times up to 300, drawn by numpy: 60 hypothesis floats cost more
+SIXTY_TIMES = st.integers(0, 2**32 - 1).map(
+    lambda seed: (np.insert(np.random.default_rng(seed).uniform(0.0, 300.0, 60), 0, 0.0),))
+
+
+# earlier test: (relation, tolerance, draws, box), the box drawing (M, k, lam, B, the t
+# of each call, theta, phi)
+BOXES = {
+    "test_properties::test_block_amplitudes_match_dense_oracle": (
+        _amplitudes, 1e-10, 150, box_points(5, 5.0, 5.0, st.tuples(
+            st.floats(0.0, 50.0),
+            st.lists(st.floats(0.0, 50.0), min_size=1, max_size=5).map(np.array)), ends=True)),
+    "test_properties::test_closed_form_matches_block_propagation": (
+        _closed_vs_analytic, 1e-9, 150, box_points(5, 5.0, 5.0, SCALAR_50, ends=True)),
+    "test_dynamics::TestOracleEquivalence::test_agreement_200_random_tuples": (
+        _amplitudes, 1e-10, 200, box_points(6, 5.0, 5.0, SCALAR_50)),
+    "test_cloning::TestClosedForm::test_matches_block_propagation": (
+        _closed_vs_analytic, 1e-9, 100, box_points(6, 5.0, 5.0, SCALAR_50)),
+    "test_domain::test_array_time_matches_closed_form": (
+        _closed_vs_analytic, 1e-9, 20,
+        box_points(8, 5.0, 5.0, st.just((np.linspace(0.0, 60.0, 2001),)), ends=True)),
+    "test_domain::test_array_time_equals_scalar_calls": (
+        _array_vs_scalar, ARRAY_TOLERANCE, 40, box_points(8, 5.0, 5.0, SIXTY_TIMES, ends=True)),
+    "test_cloning::TestReducedOuter::test_matches_dense_partial_trace": (
+        _outer_vs_dense, 1e-10, 30, box_points(6, 5.0, 5.0, SCALAR_50, bloch=True)),
+    "test_cloning::TestReducedCentral::test_matches_dense_partial_trace": (
+        _central_vs_dense, 1e-10, 30, box_points(6, 5.0, 5.0, SCALAR_50, bloch=True)),
+    "test_cloning::TestXXFidelity::test_equals_closed_form_at_lam0": (
+        _xx_kernel, 1e-10, 40, box_points(8, 0.0, 3.0, SCALAR_60)),
+    "test_cloning::TestPolarizedRegister::test_matches_closed_form": (
+        _kM_kernel, 1e-10, 40, box_points(8, 3.0, 3.0, SCALAR_60)),
+}
+
+
+@pytest.mark.parametrize("name", BOXES)
+def test_relation_holds_on_box(name):
+    relation, cap, draws, box = BOXES[name]
+
+    @settings(max_examples=draws)
+    @given(box)
+    def check(point):
+        M, k, lam, B, times, theta, phi = point
+        for t in times:
+            assert np.all(np.less(relation(ModelParams(M, lam, B), k, t, theta, phi), cap))
+
+    check()
+
+
 @settings(max_examples=EXAMPLES)
 @given(points(), st.lists(TIMES, max_size=5))
+@example((4, 1, 0.8, 0.3, 12.0), np.linspace(0.0, 12.0, 50).tolist())
+@example((3, 0, 0.0, 0.3, 12.0), np.linspace(0.0, 12.0, 50).tolist())  # a vanishing gap
 def test_array_time_equals_scalar_calls(point, more_times):
     M, k, lam, B, t = point
-    params, times = ModelParams(M, lam, B), [0.0, t, *more_times]
-    closed = [fidelity_closed_form(M, k, lam, B, s) for s in times]
-    assert np.array_equal(fidelity_closed_form(M, k, lam, B, np.array(times)), closed)
-    for route, tol in zip(ROUTES, (1e-15, 1e-12)):
-        amp, scalars = route(params, k, np.array(times)), [route(params, k, s) for s in times]
-        for name in FIELDS:
-            assert np.abs(getattr(amp, name) - [getattr(s, name) for s in scalars]).max() <= tol
-        assert np.abs(pcc_fidelity(amp) - [pcc_fidelity(s) for s in scalars]).max() <= tol
+    times = np.array([0.0, t, *more_times])
+    errors = _array_vs_scalar(ModelParams(M, lam, B), k, times, 0.0, 0.0)
+    assert np.all(np.less(errors, ARRAY_TOLERANCE))
 
 
 def _outcome(route):
@@ -171,13 +242,9 @@ BOX_EDGE_MUTANTS = {
 
 
 @pytest.mark.parametrize("mutant", BOX_EDGE_MUTANTS)
-def test_box_edge_mutant_fails_its_relation(monkeypatch, mutant):
+def test_box_edge_mutant_fails_its_relation(patch_bindings, mutant):
     original, name, wrong = BOX_EDGE_MUTANTS[mutant]
-    for module_name, module in list(sys.modules.items()):
-        if module_name == "starclone" or module_name.startswith("starclone."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrong)
+    patch_bindings(original, wrong)
     # the relation's own draws; the first failure is reported unshrunk
     check = settings(max_examples=EXAMPLES, phases=[Phase.generate])(
         given(**DRAWS)(test_relation_holds.hypothesis.inner_test))

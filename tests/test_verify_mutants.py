@@ -11,7 +11,6 @@ catch it, which runs first.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -111,13 +110,8 @@ MUTANTS = [
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("original, mutant, suite", [m[1:] for m in MUTANTS],
                          ids=[m[0] for m in MUTANTS])
-def test_some_suite_fails_on_mutant(monkeypatch, original, mutant, suite, seed):
-    modules = [module for name, module in list(sys.modules.items())
-               if name == "starclone" or name.startswith("starclone.")]
-    for module in modules:
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, mutant)
+def test_some_suite_fails_on_mutant(patch_bindings, original, mutant, suite, seed):
+    patch_bindings(original, mutant)
     dynamics._dense_eigensystem.cache_clear()  # no eigensystem of the true model
     try:
         # the expected suite first: a caught mutant costs one suite run

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -103,16 +102,9 @@ def test_oversized_seed_grid_raises_before_allocation(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [8, 64])
-def test_memory_estimate_bounds_the_measured_peak(monkeypatch, m):
+def test_memory_estimate_bounds_the_measured_peak(peak_and_estimates, m):
     # the largest estimate checked must cover what the search keeps for every
     # k, without overstating it by more than 4x at table1's default seed grid
-    estimates = []
-    monkeypatch.setattr(optimizer, "_require_memory", lambda need, what: estimates.append(need))
     xx_box_maximum(m)  # warm: first-call allocations are not the search's own
-    tracemalloc.start()
-    try:
-        xx_box_maximum(m)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, estimates = peak_and_estimates(lambda: xx_box_maximum(m), optimizer)
     assert peak <= max(estimates) <= 4 * peak
